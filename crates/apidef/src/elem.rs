@@ -16,9 +16,7 @@
 //! in afterwards, typically with a follow-up query.
 
 use jungloid_typesys::{Ty, TyId};
-use prospector_obs::json::{decode_err, Json, JsonError};
 
-use crate::model::{ty_ref, want_ty};
 use crate::{Api, FieldId, MethodId};
 
 /// Which of a method's value inputs an elementary jungloid consumes.
@@ -186,91 +184,6 @@ impl ElemJungloid {
             }
         }
     }
-}
-
-impl ElemJungloid {
-    /// Serializes to a JSON value (tagged by `"k"`; member references are
-    /// arena indexes, so they only decode against the same API).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        match *self {
-            ElemJungloid::FieldAccess { field } => Json::obj(vec![
-                ("k", Json::Str("field".to_owned())),
-                ("field", Json::num_u(field.index() as u64)),
-            ]),
-            ElemJungloid::Call { method, input } => Json::obj(vec![
-                ("k", Json::Str("call".to_owned())),
-                ("method", Json::num_u(method.index() as u64)),
-                (
-                    "input",
-                    match input {
-                        None => Json::Null,
-                        Some(InputSlot::Receiver) => Json::Str("recv".to_owned()),
-                        Some(InputSlot::Arg(i)) => Json::num_u(i as u64),
-                    },
-                ),
-            ]),
-            ElemJungloid::Widen { from, to } => Json::obj(vec![
-                ("k", Json::Str("widen".to_owned())),
-                ("from", ty_ref(from)),
-                ("to", ty_ref(to)),
-            ]),
-            ElemJungloid::Downcast { from, to } => Json::obj(vec![
-                ("k", Json::Str("cast".to_owned())),
-                ("from", ty_ref(from)),
-                ("to", ty_ref(to)),
-            ]),
-        }
-    }
-
-    /// Decodes [`ElemJungloid::to_json`] output, validating every member
-    /// and type reference against `api`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown tag or an out-of-range reference.
-    pub fn from_json(v: &Json, api: &Api) -> Result<ElemJungloid, JsonError> {
-        let kind = v.want("k")?.as_str().ok_or_else(|| decode_err("`k` must be a string"))?;
-        let arena_len = api.types().len();
-        match kind {
-            "field" => {
-                let idx = want_index(v.want("field")?, api.field_count(), "field")?;
-                Ok(ElemJungloid::FieldAccess { field: FieldId::from_index(idx) })
-            }
-            "call" => {
-                let idx = want_index(v.want("method")?, api.method_count(), "method")?;
-                let method = MethodId::from_index(idx);
-                let input = match v.want("input")? {
-                    Json::Null => None,
-                    Json::Str(s) if s == "recv" => Some(InputSlot::Receiver),
-                    arg => {
-                        let i =
-                            want_index(arg, api.method(method).params.len(), "parameter slot")?;
-                        Some(InputSlot::Arg(i))
-                    }
-                };
-                Ok(ElemJungloid::Call { method, input })
-            }
-            "widen" => Ok(ElemJungloid::Widen {
-                from: want_ty(v.want("from")?, arena_len)?,
-                to: want_ty(v.want("to")?, arena_len)?,
-            }),
-            "cast" => Ok(ElemJungloid::Downcast {
-                from: want_ty(v.want("from")?, arena_len)?,
-                to: want_ty(v.want("to")?, arena_len)?,
-            }),
-            other => Err(decode_err(format!("unknown elementary jungloid kind `{other}`"))),
-        }
-    }
-}
-
-fn want_index(v: &Json, len: usize, what: &str) -> Result<usize, JsonError> {
-    let idx = v.as_u64().ok_or_else(|| decode_err(format!("{what} must be an integer")))?;
-    let idx = usize::try_from(idx).map_err(|_| decode_err(format!("{what} out of range")))?;
-    if idx >= len {
-        return Err(decode_err(format!("{what} index {idx} out of range (<{len})")));
-    }
-    Ok(idx)
 }
 
 /// Enumerates every non-downcast elementary jungloid an API member

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use jungloid_typesys::{Ty, TyId, TypeKind, TypeTable};
-use prospector_obs::json::{decode_err, Json, JsonError};
 
 use crate::ApiError;
 
@@ -446,173 +445,6 @@ fn lowercase_first(s: &str) -> String {
     match chars.next() {
         Some(c) => c.to_lowercase().collect::<String>() + chars.as_str(),
         None => String::new(),
-    }
-}
-
-// --- JSON persistence ---------------------------------------------------
-//
-// Members are stored as flat arrays in arena order; ids are implicit
-// (array position), so `from_json` replays `add_method`/`add_field` in
-// order and every persisted `MethodId`/`FieldId` stays valid.
-
-pub(crate) fn ty_ref(id: TyId) -> Json {
-    Json::num_u(id.index() as u64)
-}
-
-pub(crate) fn want_ty(v: &Json, arena_len: usize) -> Result<TyId, JsonError> {
-    let idx = v.as_u64().ok_or_else(|| decode_err("type reference must be an integer"))?;
-    let idx = usize::try_from(idx).map_err(|_| decode_err("type reference out of range"))?;
-    if idx >= arena_len {
-        return Err(decode_err(format!("type reference {idx} out of range (<{arena_len})")));
-    }
-    Ok(TyId::from_index(idx))
-}
-
-impl Visibility {
-    /// The Java keyword for this visibility.
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
-        match self {
-            Visibility::Public => "public",
-            Visibility::Protected => "protected",
-            Visibility::Private => "private",
-        }
-    }
-
-    /// Parses [`Visibility::keyword`] output.
-    #[must_use]
-    pub fn from_keyword(word: &str) -> Option<Visibility> {
-        match word {
-            "public" => Some(Visibility::Public),
-            "protected" => Some(Visibility::Protected),
-            "private" => Some(Visibility::Private),
-            _ => None,
-        }
-    }
-}
-
-fn want_visibility(v: &Json) -> Result<Visibility, JsonError> {
-    v.as_str()
-        .and_then(Visibility::from_keyword)
-        .ok_or_else(|| decode_err("bad visibility"))
-}
-
-fn want_bool(v: &Json) -> Result<bool, JsonError> {
-    v.as_bool().ok_or_else(|| decode_err("expected a boolean"))
-}
-
-fn want_string(v: &Json) -> Result<String, JsonError> {
-    v.as_str().map(str::to_owned).ok_or_else(|| decode_err("expected a string"))
-}
-
-fn method_to_json(def: &MethodDef) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(def.name.clone())),
-        ("declaring", ty_ref(def.declaring)),
-        ("params", Json::Arr(def.params.iter().copied().map(ty_ref).collect())),
-        (
-            "param_names",
-            Json::Arr(
-                def.param_names
-                    .iter()
-                    .map(|n| n.as_ref().map_or(Json::Null, |s| Json::Str(s.clone())))
-                    .collect(),
-            ),
-        ),
-        ("ret", ty_ref(def.ret)),
-        ("visibility", Json::Str(def.visibility.keyword().to_owned())),
-        ("static", Json::Bool(def.is_static)),
-        ("ctor", Json::Bool(def.is_constructor)),
-    ])
-}
-
-fn method_from_json(v: &Json, arena_len: usize) -> Result<MethodDef, JsonError> {
-    let params = v
-        .want("params")?
-        .as_arr()
-        .ok_or_else(|| decode_err("`params` must be an array"))?
-        .iter()
-        .map(|p| want_ty(p, arena_len))
-        .collect::<Result<Vec<_>, _>>()?;
-    let param_names = v
-        .want("param_names")?
-        .as_arr()
-        .ok_or_else(|| decode_err("`param_names` must be an array"))?
-        .iter()
-        .map(|n| match n {
-            Json::Null => Ok(None),
-            other => want_string(other).map(Some),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MethodDef {
-        name: want_string(v.want("name")?)?,
-        declaring: want_ty(v.want("declaring")?, arena_len)?,
-        params,
-        param_names,
-        ret: want_ty(v.want("ret")?, arena_len)?,
-        visibility: want_visibility(v.want("visibility")?)?,
-        is_static: want_bool(v.want("static")?)?,
-        is_constructor: want_bool(v.want("ctor")?)?,
-    })
-}
-
-fn field_to_json(def: &FieldDef) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(def.name.clone())),
-        ("declaring", ty_ref(def.declaring)),
-        ("ty", ty_ref(def.ty)),
-        ("visibility", Json::Str(def.visibility.keyword().to_owned())),
-        ("static", Json::Bool(def.is_static)),
-    ])
-}
-
-fn field_from_json(v: &Json, arena_len: usize) -> Result<FieldDef, JsonError> {
-    Ok(FieldDef {
-        name: want_string(v.want("name")?)?,
-        declaring: want_ty(v.want("declaring")?, arena_len)?,
-        ty: want_ty(v.want("ty")?, arena_len)?,
-        visibility: want_visibility(v.want("visibility")?)?,
-        is_static: want_bool(v.want("static")?)?,
-    })
-}
-
-impl Api {
-    /// Serializes the API (types plus members) to a JSON value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("types", self.types.to_json()),
-            ("methods", Json::Arr(self.methods.iter().map(method_to_json).collect())),
-            ("fields", Json::Arr(self.fields.iter().map(field_to_json).collect())),
-        ])
-    }
-
-    /// Rebuilds an API from [`Api::to_json`] output, re-deriving all
-    /// lookup indexes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing keys, dangling type references, or member
-    /// definitions the builder itself would reject.
-    pub fn from_json(doc: &Json) -> Result<Api, JsonError> {
-        let types = TypeTable::from_json(doc.want("types")?)?;
-        let arena_len = types.len();
-        let mut api = Api::from_types(types);
-        let methods = doc
-            .want("methods")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`methods` must be an array"))?;
-        for m in methods {
-            let def = method_from_json(m, arena_len)?;
-            api.add_method(def).map_err(|e| decode_err(format!("bad method: {e}")))?;
-        }
-        let fields =
-            doc.want("fields")?.as_arr().ok_or_else(|| decode_err("`fields` must be an array"))?;
-        for f in fields {
-            let def = field_from_json(f, arena_len)?;
-            api.add_field(def).map_err(|e| decode_err(format!("bad field: {e}")))?;
-        }
-        Ok(api)
     }
 }
 

@@ -144,29 +144,3 @@ fn print_reload_preserves_signatures() {
         }
     }
 }
-
-#[test]
-fn json_round_trip_preserves_apis() {
-    for seed in 0..64u64 {
-        let api = random_api(seed);
-        let doc = api.to_json();
-        let back = Api::from_json(&doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(back.types().len(), api.types().len());
-        assert_eq!(back.method_count(), api.method_count());
-        assert_eq!(back.field_count(), api.field_count());
-        for m in api.method_ids() {
-            assert_eq!(back.method(m), api.method(m));
-        }
-        for f in api.field_ids() {
-            assert_eq!(back.field(f), api.field(f));
-        }
-        for decl in api.types().decls() {
-            assert_eq!(back.methods_of(decl.id), api.methods_of(decl.id));
-            assert_eq!(back.fields_of(decl.id), api.fields_of(decl.id));
-        }
-        // The serialized text also survives a parse round trip.
-        assert_eq!(back.to_json(), doc);
-        let text = doc.to_text();
-        assert_eq!(prospector_obs::Json::parse(&text).unwrap(), doc);
-    }
-}

@@ -8,7 +8,8 @@
 //! * all queries answered in under 1.1 s, 85% under 0.5 s.
 //!
 //! We grow the hand-modeled APIs with the procedural jungle to the same
-//! method count, persist the graph, and reproduce each measurement. The
+//! method count, save the engine as a `.pspk` snapshot (the one on-disk
+//! format), and reproduce each measurement. The
 //! claims to preserve are the *bounds*: everything answers far inside
 //! the paper's envelope.
 //!
@@ -17,7 +18,6 @@
 use std::time::Instant;
 
 use bench::{criterion_group, Criterion};
-use prospector_core::persist;
 use prospector_corpora::{build, jungle::JungleSpec, problems, BuildOptions};
 
 fn paper_scale_options() -> BuildOptions {
@@ -39,14 +39,15 @@ fn print_report() {
     );
 
     // On-disk size (paper: 8 MB) and load time (paper: 1.5 s).
-    let json = persist::to_json(engine.api(), engine.graph());
+    let mined = built.mine_report.map(|r| r.examples).unwrap_or_default();
+    let bytes = prospector_store::to_bytes(engine.api(), engine.graph(), &mined);
     println!(
-        "serialized size: {:.1} MB (paper: 8 MB)",
-        json.len() as f64 / (1024.0 * 1024.0)
+        "snapshot (.pspk) size: {:.1} MB (paper: 8 MB)",
+        bytes.len() as f64 / (1024.0 * 1024.0)
     );
     let t1 = Instant::now();
-    let loaded = persist::from_json(&json).expect("deserializes");
-    println!("load time: {:.2} s (paper: 1.5 s)", t1.elapsed().as_secs_f64());
+    let loaded = prospector_store::from_bytes(&bytes).expect("snapshot loads");
+    println!("snapshot load time: {:.4} s (paper: 1.5 s)", t1.elapsed().as_secs_f64());
     println!(
         "in-memory adjacency estimate: {:.1} MB (paper: 24 MB total process)",
         loaded.graph.approx_bytes() as f64 / (1024.0 * 1024.0)
@@ -84,12 +85,15 @@ fn bench_load_and_query(c: &mut Criterion) {
     // result cache on, every iteration after the first would measure a
     // cache hit instead.
     engine.cache_results = false;
-    let json = persist::to_json(engine.api(), engine.graph());
+    let mined = built.mine_report.map(|r| r.examples).unwrap_or_default();
+    let bytes = prospector_store::to_bytes(engine.api(), engine.graph(), &mined);
 
     let mut group = c.benchmark_group("perf_section5");
     group.sample_size(10);
-    group.bench_function("load_graph_from_json", |b| {
-        b.iter(|| std::hint::black_box(persist::from_json(&json).unwrap().graph.edge_count()));
+    group.bench_function("load_graph_from_snapshot", |b| {
+        b.iter(|| {
+            std::hint::black_box(prospector_store::from_bytes(&bytes).unwrap().graph.edge_count())
+        });
     });
     let api = engine.api();
     let ifile = api.types().resolve("IFile").unwrap();

@@ -1,13 +1,13 @@
-//! Snapshot I/O — how fast the engine's on-disk formats save and load,
-//! and what warm-starting buys over rebuilding.
+//! Snapshot I/O — how fast the `.pspk` snapshot saves and loads, and
+//! what warm-starting buys over rebuilding.
 //!
-//! Columns: the JSON debug format, the v1 `.pspk` (decode-everything)
-//! baseline, the v2 `.pspk` zero-copy load (owned read and mmap), and
-//! the first query answered after each warm start; plus the cold-build
-//! baseline every load replaces. The run writes a machine-readable
-//! baseline to `BENCH_snapshot.json` at the repository root (override
-//! with `BENCH_SNAPSHOT_OUT`), including `zero_copy_speedup` — v1 load
-//! time over v2 load time.
+//! Columns: the cold build every load replaces, the snapshot save and
+//! full load (`load_file`: validate, decode the API tables, borrow the
+//! CSR), the zero-copy map (validate header and section CRCs only), and
+//! the first query answered after a warm start by read and by mmap. The
+//! run writes a machine-readable baseline to `BENCH_snapshot.json` at the
+//! repository root (override with `BENCH_SNAPSHOT_OUT`), including
+//! `zero_copy_speedup` — full load time over zero-copy map time.
 //!
 //! Run with `cargo bench -p bench --bench snapshot_io`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
@@ -51,7 +51,7 @@ fn main() {
     let quick = quick_mode();
     let rounds = if quick { 2 } else { 5 };
 
-    println!("\n=== snapshot I/O (JSON debug vs .pspk binary) ===\n");
+    println!("\n=== snapshot I/O (.pspk save, load and zero-copy map) ===\n");
 
     // Cold-build baseline: what a server pays when it has no index.
     let (build_us, built) =
@@ -62,100 +62,57 @@ fn main() {
 
     let dir = std::env::temp_dir().join("prospector-bench-snapshot");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let json_path = dir.join("engine.json");
-    let bin_path = dir.join("engine.pspk");
-    let v1_path = dir.join("engine-v1.pspk");
+    let path = dir.join("engine.pspk");
 
-    let (json_save_us, ()) = best_us(rounds, || {
-        prospector_core::persist::save_file(&json_path, engine.api(), engine.graph())
-            .expect("JSON saves");
+    let (save_us, _) = best_us(rounds, || {
+        prospector_store::save_file(&path, engine.api(), engine.graph(), &mined)
+            .expect("snapshot saves")
     });
-    let json_bytes = std::fs::metadata(&json_path).expect("saved").len();
-    let (json_load_us, json_loaded) = best_us(rounds, || {
-        prospector_core::persist::load_file(&json_path).expect("JSON loads")
-    });
-    println!(
-        "JSON debug:  save {json_save_us:10.0} us   load {json_load_us:10.0} us   {json_bytes:>9} bytes"
-    );
-
-    // v1: the decode-everything baseline the zero-copy loader replaces.
-    std::fs::write(&v1_path, prospector_store::to_bytes_v1(engine.api(), engine.graph(), &mined))
-        .expect("v1 snapshot writes");
-    let v1_bytes = std::fs::metadata(&v1_path).expect("saved").len();
-    let (v1_load_us, v1_loaded) = best_us(rounds, || {
-        prospector_store::load_file(&v1_path).expect("v1 loads").0
-    });
-    println!(
-        "binary v1:   {:>16} load {v1_load_us:10.0} us   {v1_bytes:>9} bytes", ""
-    );
-
-    let (bin_save_us, _) = best_us(rounds, || {
-        prospector_store::save_file(&bin_path, engine.api(), engine.graph(), &mined)
-            .expect("binary saves")
-    });
-    let bin_bytes = std::fs::metadata(&bin_path).expect("saved").len();
-    let (bin_load_us, bin_loaded) = best_us(rounds, || {
-        prospector_store::load_file(&bin_path).expect("binary loads").0
-    });
-    println!(
-        "binary v2:   save {bin_save_us:10.0} us   load {bin_load_us:10.0} us   {bin_bytes:>9} bytes"
-    );
+    let bytes = std::fs::metadata(&path).expect("saved").len();
+    let (load_us, loaded) =
+        best_us(rounds, || prospector_store::load_file(&path).expect("snapshot loads").0);
+    println!("snapshot:    save {save_us:10.0} us   load {load_us:10.0} us   {bytes:>9} bytes");
 
     // The zero-copy load: validate header + section CRCs once and hand
     // out borrowed views — O(sections checksummed), no per-element work.
     let (map_us, mapped) = best_us(rounds, || {
-        let m = prospector_store::MappedSnapshot::map(&bin_path).expect("binary maps");
+        let m = prospector_store::MappedSnapshot::map(&path).expect("snapshot maps");
         assert_eq!(m.manifest().sections.len(), 7);
         m.is_mapped()
     });
-    println!(
-        "binary v2 zero-copy (validate + mmap): {map_us:7.0} us   (mapped: {mapped})"
-    );
+    println!("zero-copy (validate + mmap): {map_us:7.0} us   (mapped: {mapped})");
 
     // Warm start to first answer: load + engine assembly + one query.
-    let (first_query_v1_us, n1) = best_us(rounds, || {
-        first_query(prospector_store::load_file(&v1_path).expect("v1 loads").0)
+    let (first_query_read_us, n1) = best_us(rounds, || {
+        first_query(prospector_store::load_file(&path).expect("snapshot loads").0)
     });
-    let (first_query_v2_us, n2) = best_us(rounds, || {
-        let m = prospector_store::MappedSnapshot::map(&bin_path).expect("binary maps");
-        first_query(m.thaw().expect("binary thaws"))
+    let (first_query_mmap_us, n2) = best_us(rounds, || {
+        let m = prospector_store::MappedSnapshot::map(&path).expect("snapshot maps");
+        first_query(m.thaw().expect("snapshot thaws"))
     });
     assert_eq!(n1, n2, "warm-started engines must answer identically");
-    println!(
-        "first query:  v1 {first_query_v1_us:9.0} us   v2+mmap {first_query_v2_us:7.0} us"
-    );
+    println!("first query:  read {first_query_read_us:9.0} us   mmap {first_query_mmap_us:7.0} us");
 
-    // Every loader must agree with the live engine before its time
-    // means anything.
-    assert_eq!(json_loaded.graph.edge_count(), engine.graph().edge_count());
-    assert_eq!(v1_loaded.graph.csr().out_to(), engine.graph().csr().out_to());
-    assert_eq!(bin_loaded.graph.edge_count(), engine.graph().edge_count());
-    assert_eq!(bin_loaded.graph.csr().out_to(), engine.graph().csr().out_to());
+    // The loader must agree with the live engine before its time means
+    // anything.
+    assert_eq!(loaded.graph.edge_count(), engine.graph().edge_count());
+    assert_eq!(loaded.graph.csr().out_to(), engine.graph().csr().out_to());
 
-    let load_speedup = json_load_us / bin_load_us;
-    let vs_build = build_us / bin_load_us;
-    // The headline number: the v2 zero-copy (validate-only) load against
-    // the v1 decode-everything load it replaces. The deferred owned-API
-    // cost is not hidden — it shows up in `first_query.v2_mmap_us`.
-    let zero_copy_speedup = v1_load_us / map_us;
-    println!(
-        "\nv2 full load: {load_speedup:.2}x faster than JSON load, {vs_build:.2}x faster than a cold build"
-    );
-    println!(
-        "v2 zero-copy (validate-only) load: {zero_copy_speedup:.2}x faster than the v1 decode\n"
-    );
+    let vs_build = build_us / load_us;
+    // The headline number: the zero-copy (validate-only) map against the
+    // full load. The deferred owned-API cost is not hidden — it shows up
+    // in `first_query.mmap_us`.
+    let zero_copy_speedup = load_us / map_us;
+    println!("\nfull load: {vs_build:.2}x faster than a cold build");
+    println!("zero-copy (validate-only) map: {zero_copy_speedup:.2}x faster than the full load\n");
     assert!(
-        bin_load_us < json_load_us,
-        "binary load must beat the JSON debug path ({bin_load_us:.0} us vs {json_load_us:.0} us)"
-    );
-    assert!(
-        map_us < v1_load_us,
-        "zero-copy v2 load must beat the v1 decode ({map_us:.0} us vs {v1_load_us:.0} us)"
+        load_us < build_us,
+        "snapshot load must beat the cold build ({load_us:.0} us vs {build_us:.0} us)"
     );
     if !quick {
         assert!(
             zero_copy_speedup >= 5.0,
-            "zero-copy v2 load must be >= 5x the v1 decode (got {zero_copy_speedup:.2}x)"
+            "zero-copy map must be >= 5x faster than the full load (got {zero_copy_speedup:.2}x)"
         );
     }
 
@@ -165,26 +122,11 @@ fn main() {
         ("rounds", Json::num_u(rounds as u64)),
         ("build_us", Json::Num(round1(build_us))),
         (
-            "json",
-            Json::obj(vec![
-                ("save_us", Json::Num(round1(json_save_us))),
-                ("load_us", Json::Num(round1(json_load_us))),
-                ("bytes", Json::num_u(json_bytes)),
-            ]),
-        ),
-        (
-            "binary_v1",
-            Json::obj(vec![
-                ("load_us", Json::Num(round1(v1_load_us))),
-                ("bytes", Json::num_u(v1_bytes)),
-            ]),
-        ),
-        (
             "binary",
             Json::obj(vec![
-                ("save_us", Json::Num(round1(bin_save_us))),
-                ("load_us", Json::Num(round1(bin_load_us))),
-                ("bytes", Json::num_u(bin_bytes)),
+                ("save_us", Json::Num(round1(save_us))),
+                ("load_us", Json::Num(round1(load_us))),
+                ("bytes", Json::num_u(bytes)),
             ]),
         ),
         (
@@ -197,11 +139,10 @@ fn main() {
         (
             "first_query",
             Json::obj(vec![
-                ("v1_us", Json::Num(round1(first_query_v1_us))),
-                ("v2_mmap_us", Json::Num(round1(first_query_v2_us))),
+                ("read_us", Json::Num(round1(first_query_read_us))),
+                ("mmap_us", Json::Num(round1(first_query_mmap_us))),
             ]),
         ),
-        ("load_speedup", Json::Num((load_speedup * 100.0).round() / 100.0)),
         ("zero_copy_speedup", Json::Num((zero_copy_speedup * 100.0).round() / 100.0)),
         ("load_vs_build", Json::Num((vs_build * 100.0).round() / 100.0)),
         ("quick", Json::Bool(quick)),
@@ -212,7 +153,5 @@ fn main() {
     std::fs::write(&out, doc.to_text()).expect("baseline file writes");
     println!("wrote {out}");
 
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&bin_path).ok();
-    std::fs::remove_file(&v1_path).ok();
+    std::fs::remove_file(&path).ok();
 }

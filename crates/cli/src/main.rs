@@ -20,11 +20,10 @@
 //! * `mine` — show the mined + generalized example jungloids;
 //! * `index build [<stub.api>...] [--corpus <dir>] [-o <path>]` — build
 //!   the engine and snapshot it as a versioned binary `.pspk` (§5's
-//!   on-disk graph; `--json` writes the human-readable debug format
-//!   instead); `index inspect <path>` prints the validated section
+//!   on-disk graph); `index inspect <path>` prints the validated section
 //!   breakdown; `index <path>` is shorthand for `index build -o <path>`;
-//!   `--index <path>` on any command warm-starts from a snapshot (binary
-//!   or JSON, sniffed by magic) instead of rebuilding;
+//!   `--index <path>` on any command warm-starts from a snapshot instead
+//!   of rebuilding;
 //! * `stats` — graph statistics (§5's size numbers).
 //!
 //! Engine flags (before the subcommand arguments): `--no-mining`,
@@ -791,46 +790,12 @@ fn run_command(flags: &Flags) -> Result<(), String> {
 
 fn engine(flags: &Flags) -> Result<Prospector, String> {
     if let Some(path) = &flags.index {
-        return load_index(path);
+        return prospector_registry::load_engine(path, false).map(|(engine, _)| engine);
     }
     Ok(build(&flags.options).map_err(|e| e.to_string())?.prospector)
 }
 
-/// Loads `--index <path>`, routing by magic sniff: `PSPK` files take the
-/// binary warm-start path (CSR restored verbatim, no graph rebuild),
-/// anything else the JSON debug loader.
-fn load_index(path: &str) -> Result<Prospector, String> {
-    load_index_with(path, false).map(|(engine, _)| engine)
-}
-
-/// [`load_index`] plus the storage mode actually achieved: `"mmap"` when
-/// the engine serves borrowed views out of a memory-mapped v2 snapshot,
-/// `"owned"` everywhere else (owned read, v1 decode, JSON debug index,
-/// or an mmap request the platform/format could not honor).
-fn load_index_with(path: &str, use_mmap: bool) -> Result<(Prospector, &'static str), String> {
-    use std::io::Read as _;
-    let p = std::path::Path::new(path);
-    let mut head = [0u8; 4];
-    let binary = std::fs::File::open(p)
-        .map_err(|e| format!("{path}: {e}"))?
-        .read_exact(&mut head)
-        .is_ok()
-        && prospector_store::is_snapshot(&head);
-    if binary {
-        if use_mmap {
-            let (snap, _, mapped) = prospector_store::map_file(p).map_err(|e| e.to_string())?;
-            let mode = if mapped { "mmap" } else { "owned" };
-            return Ok((Prospector::from_parts(snap.api, snap.graph), mode));
-        }
-        let (snap, _) = prospector_store::load_file(p).map_err(|e| e.to_string())?;
-        return Ok((Prospector::from_parts(snap.api, snap.graph), "owned"));
-    }
-    let loaded =
-        prospector_core::persist::load_file(p).map_err(|e| e.to_string())?;
-    Ok((Prospector::from_parts(loaded.api, loaded.graph), "owned"))
-}
-
-/// `index build [<stub.api>...] [--corpus <dir>] [-o <path>] [--json]`.
+/// `index build [<stub.api>...] [--corpus <dir>] [-o <path>]`.
 ///
 /// With no stubs and no corpus this snapshots the bundled evaluation
 /// engine (honoring the engine flags); with stubs, a custom API is
@@ -839,21 +804,11 @@ fn index_build(flags: &Flags, args: &[String]) -> Result<(), String> {
     let mut stubs: Vec<String> = Vec::new();
     let mut corpus: Option<String> = None;
     let mut out = "idx.pspk".to_owned();
-    let mut json = false;
-    let mut v1 = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--corpus" => corpus = Some(it.next().ok_or("--corpus needs a directory")?.clone()),
             "-o" | "--out" => out = it.next().ok_or("-o needs a path")?.clone(),
-            "--json" => json = true,
-            "--format" => {
-                v1 = match it.next().ok_or("--format needs v1 or v2")?.as_str() {
-                    "v1" => true,
-                    "v2" => false,
-                    other => return Err(format!("--format: unknown version `{other}`")),
-                };
-            }
             other => stubs.push(other.to_owned()),
         }
     }
@@ -864,27 +819,13 @@ fn index_build(flags: &Flags, args: &[String]) -> Result<(), String> {
     } else {
         build_custom(flags, &stubs, corpus.as_deref())?
     };
-    let path = std::path::Path::new(&out);
-    if json {
-        prospector_core::persist::save_file(path, engine.api(), engine.graph())
-            .map_err(|e| e.to_string())?;
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "wrote {out} (JSON debug format): {:.1} MB, {} nodes, {} edges",
-            bytes as f64 / (1024.0 * 1024.0),
-            engine.graph().node_count(),
-            engine.graph().edge_count()
-        );
-        return Ok(());
-    }
-    let manifest = if v1 {
-        let bytes = prospector_store::to_bytes_v1(engine.api(), engine.graph(), &mined);
-        std::fs::write(path, &bytes).map_err(|e| format!("{out}: {e}"))?;
-        prospector_store::manifest(&bytes).expect("freshly encoded snapshot is well-formed")
-    } else {
-        prospector_store::save_file(path, engine.api(), engine.graph(), &mined)
-            .map_err(|e| e.to_string())?
-    };
+    let manifest = prospector_store::save_file(
+        std::path::Path::new(&out),
+        engine.api(),
+        engine.graph(),
+        &mined,
+    )
+    .map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: {:.1} MB, snapshot format v{}, {} nodes, {} edges",
         manifest.total_bytes as f64 / (1024.0 * 1024.0),
@@ -969,37 +910,20 @@ fn build_custom(
 /// borrows its views from.
 fn index_inspect(path: &str, layout: bool) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if !prospector_store::is_snapshot(&bytes) {
-        let loaded = prospector_core::persist::load_file(std::path::Path::new(path))
-            .map_err(|e| e.to_string())?;
-        println!("{path}: JSON debug index, {} bytes", bytes.len());
-        println!("  graph epoch:   {}", loaded.graph.epoch());
-        println!("  snapshot mode: owned (JSON debug format)");
-        println!("  types:   {}", loaded.api.types().len());
-        println!("  methods: {}", loaded.api.method_count());
-        println!("  fields:  {}", loaded.api.field_count());
-        println!(
-            "  nodes:   {} ({} mined)",
-            loaded.graph.node_count(),
-            loaded.graph.mined_node_count()
-        );
-        println!("  edges:   {}", loaded.graph.edge_count());
-        return Ok(());
-    }
     let m = prospector_store::manifest(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let snap = prospector_store::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: prospector snapshot, format v{}, {} bytes", m.version, m.total_bytes);
     // The mode a loader would achieve: borrowing (mmap or zero-copy
-    // buffer views) needs the v2 layout with every section 8-aligned.
-    let mappable = m.version >= 2 && m.sections.iter().all(|s| s.offset % 8 == 0);
+    // buffer views) needs every section 8-aligned.
+    let mappable = m.sections.iter().all(|s| s.offset % 8 == 0);
     println!("  graph epoch:   {}", snap.graph.epoch());
     println!(
         "  snapshot mode: {}",
-        if mappable { "mmap-capable (v2, 8-aligned sections)" } else { "owned-only" }
+        if mappable { "mmap-capable (8-aligned sections)" } else { "owned-only" }
     );
     for s in &m.sections {
-        // An unaligned payload is legal (v1 always is) but means the
-        // loader must fall back to copying instead of borrowing views.
+        // An unaligned payload would force the loader to copy instead of
+        // borrowing views; the encoder never writes one.
         let aligned = if s.offset % 8 == 0 { "" } else { "  UNALIGNED" };
         println!(
             "  section {:<9} {:>9} bytes  offset {:>9}  pad {}  crc32 {:#010x}{aligned}",
@@ -1007,8 +931,7 @@ fn index_inspect(path: &str, layout: bool) -> Result<(), String> {
         );
     }
     if layout {
-        let header = if m.version >= 2 { 16u64 } else { 12u64 };
-        let frame = if m.version >= 2 { 24u64 } else { 16u64 };
+        let (header, frame) = (16u64, 24u64);
         println!("  layout:");
         println!("    {:>9}  {:>9}  region", "offset", "size");
         println!("    {:>9}  {:>9}  header", 0, header);
@@ -1347,7 +1270,7 @@ usage:
   prospector [flags] study [--seed N]
   prospector [flags] mine
   prospector [flags] stats [--heat] [-k N]
-  prospector [flags] index build [<stub.api>...] [--corpus <dir>] [-o <path>] [--json] [--format v1|v2]
+  prospector [flags] index build [<stub.api>...] [--corpus <dir>] [-o <path>]
   prospector [flags] index inspect <path> [--layout]
   prospector [flags] index heat <batch-file> [-k N]
   prospector [flags] serve [--addr host:port] [--workers N] [--access-log <path>] [--mmap]

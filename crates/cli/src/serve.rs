@@ -779,7 +779,7 @@ fn serve_request(
 ) {
     let started = Instant::now();
     // The profiler's root frame for worker threads: sampled stacks read
-    // `serve.request;batch;search` etc., so `/profile.folded` attributes
+    // `serve.request;search` etc., so `/profile.folded` attributes
     // wall-clock to request handling versus idle.
     let _span = prospector_obs::stage("serve.request");
     let (endpoint, response) = answer(ctx, request);
@@ -1580,22 +1580,19 @@ struct QueryOutcome {
     truncation: String,
 }
 
-/// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON.
-///
-/// Routed through the one-element batch path on purpose: the server's
-/// queries then share the exact accounting (`engine.batch.*`, preallocated
-/// trace ids) that `query --batch` lines get, so a dashboard scraping
-/// `/metrics` sees one coherent story regardless of how queries arrived.
+/// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON, on the
+/// worker thread that owns the connection.
 fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcome, String> {
     let tin = query_param(query, "tin").ok_or("missing query parameter `tin`")?;
     let tout = query_param(query, "tout").ok_or("missing query parameter `tout`")?;
     let tin_ty = engine.api().types().resolve(&tin).map_err(|e| e.to_string())?;
     let tout_ty = engine.api().types().resolve(&tout).map_err(|e| e.to_string())?;
 
-    let batch = engine.query_batch(&[(tin_ty, tout_ty)]);
-    let entry = batch.into_iter().next().ok_or("empty batch result")?;
-    let trace_id = entry.trace_id.0;
-    let result = entry.result.map_err(|e| e.to_string())?;
+    let id = TraceId::next();
+    let started = Instant::now();
+    let result = engine.query_with_trace(tin_ty, tout_ty, id).map_err(|e| e.to_string())?;
+    let time = started.elapsed();
+    let trace_id = id.0;
     let cached = result.stats.result_cache_hits > 0;
     let truncation = result.truncation.label().to_owned();
 
@@ -1635,7 +1632,7 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
             ]),
         ),
     ];
-    pairs.push(("time_us", Json::num_u(entry.time.as_micros() as u64)));
+    pairs.push(("time_us", Json::num_u(time.as_micros() as u64)));
     Ok(QueryOutcome { body: Json::obj(pairs).to_text(), trace_id, cached, truncation })
 }
 

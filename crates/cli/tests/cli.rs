@@ -384,51 +384,55 @@ fn binary_index_build_inspect_and_query() {
 }
 
 #[test]
-fn index_build_can_downgrade_to_v1() {
+fn retired_snapshot_formats_are_refused() {
     let dir = std::env::temp_dir().join("prospector-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine-v1.pspk");
+    let path = dir.join("engine-retired.pspk");
     let path_str = path.to_str().unwrap();
-
-    let (stdout, stderr, ok) =
-        prospector(&["index", "build", "--format", "v1", "-o", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("snapshot format v1"), "{stdout}");
-
-    // v1 payloads are unpadded, so most land off the 8-byte grid and
-    // inspect flags them — the report that motivates upgrading to v2.
-    let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("prospector snapshot, format v1"), "{stdout}");
-    assert!(stdout.contains("UNALIGNED"), "{stdout}");
-
-    // The v1 file still warm-starts an identical engine.
-    let (loaded, stderr, ok) = prospector(&["--index", path_str, "query", "IFile", "ASTNode"]);
-    assert!(ok, "stderr: {stderr}");
-    let (fresh, _, _) = prospector(&["query", "IFile", "ASTNode"]);
-    assert_eq!(loaded, fresh);
     std::fs::remove_file(&path).ok();
+    // `index build` writes only the `.pspk` snapshot: `--json` and
+    // `--format` are not options, so the build fails and writes nothing.
+    for flag in [&["--json"][..], &["--format", "v1"]] {
+        let mut args = vec!["index", "build"];
+        args.extend_from_slice(flag);
+        args.extend(["-o", path_str]);
+        let (_, _, ok) = prospector(&args);
+        assert!(!ok, "`index build {}` must fail", flag.join(" "));
+        assert!(!path.exists(), "`index build {}` must write nothing", flag.join(" "));
+    }
+
+    // A v1 snapshot is refused by version, not misread.
+    let v1 = concat!(env!("CARGO_MANIFEST_DIR"), "/../store/tests/fixtures/v1.pspk");
+    for args in [&["--index", v1, "query", "IFile", "ASTNode"][..], &["index", "inspect", v1]] {
+        let (_, stderr, ok) = prospector(args);
+        assert!(!ok);
+        assert!(stderr.contains("format version 1 is not supported"), "{stderr}");
+    }
 }
 
+/// The graph is frozen once for the signature edges and once for the
+/// mined batch, and the graph gauges describe that final graph.
 #[test]
-fn json_debug_index_still_round_trips() {
+fn jungle_build_freezes_twice_and_graph_gauges_agree() {
     let dir = std::env::temp_dir().join("prospector-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine-debug.json");
+    let path = dir.join("engine-jungle-metrics.pspk");
     let path_str = path.to_str().unwrap();
-    let (stdout, stderr, ok) = prospector(&["index", "build", "--json", "-o", path_str]);
+    let (stdout, stderr, ok) =
+        prospector(&["--jungle", "--metrics", "index", "build", "-o", path_str]);
     assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("JSON debug format"), "{stdout}");
-    assert!(std::fs::read_to_string(&path).unwrap().starts_with('{'));
-
-    let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("JSON debug index"), "{stdout}");
-
-    let (loaded, stderr, ok) = prospector(&["--index", path_str, "query", "IFile", "ASTNode"]);
-    assert!(ok, "stderr: {stderr}");
-    let (fresh, _, _) = prospector(&["query", "IFile", "ASTNode"]);
-    assert_eq!(loaded, fresh);
+    let metric = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|line| match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [key, value] if key == name => value.parse().ok(),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{stdout}"))
+    };
+    assert_eq!(metric("graph.csr.rebuilds"), 2);
+    assert_eq!(metric("graph.edges"), metric("graph.csr.edges"));
+    assert!(metric("graph.edges") > 0);
     std::fs::remove_file(&path).ok();
 }
 

@@ -27,18 +27,18 @@ fn default_registry() -> Registry {
 /// Reads exactly one framed response off a keep-alive stream:
 /// `(status_line, headers, body)`. Relies on the server always sending
 /// `Content-Length` (it does — the serializer emits it on every path).
+/// The head is read byte by byte and the body by its length, so a
+/// pipelined follow-up response that arrived in the same segment stays in
+/// the socket for the next call instead of being dropped with this one.
 fn read_one_response(stream: &mut TcpStream) -> (String, String, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
         assert!(n > 0, "connection closed mid-response head");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end - 4].to_vec()).expect("ascii head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head[..head.len() - 4].to_vec()).expect("ascii head");
     let length: usize = head
         .lines()
         .find_map(|l| l.strip_prefix("Content-Length: "))
@@ -46,14 +46,23 @@ fn read_one_response(stream: &mut TcpStream) -> (String, String, String) {
         .trim()
         .parse()
         .expect("numeric Content-Length");
-    while buf.len() < head_end + length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-response body");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(buf[head_end..head_end + length].to_vec()).expect("utf8 body");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("read response body");
+    let body = String::from_utf8(body).expect("utf8 body");
     let status = head.lines().next().expect("status line").to_owned();
     (status, head, body)
+}
+
+/// Flips the server's shutdown flag when dropped. Held by each test's
+/// client side inside `thread::scope`, so a failing client assertion
+/// stops the server and fails the test instead of leaving the scope
+/// waiting forever on a server that never stops.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
 }
 
 /// Sends one keep-alive `GET` on an already-open stream and reads the
@@ -86,6 +95,7 @@ fn parked_keepalive_herd_on_two_workers() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+        let _stop = StopOnDrop(&shutdown);
 
         // Park a herd: every connection serves one request, then sits
         // idle in the poller holding its socket open.
@@ -155,6 +165,7 @@ fn saturation_sheds_with_retry_after() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &options, &shutdown));
+        let _stop = StopOnDrop(&shutdown);
 
         // Unloaded reference answer, captured before any saturation.
         let (status, _, body) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
@@ -244,6 +255,7 @@ fn framer_rejections_over_the_wire() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+        let _stop = StopOnDrop(&shutdown);
 
         // Garbage request line → 400, strict JSON, connection closed.
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -304,6 +316,7 @@ fn keepalive_budget_closes_the_connection() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &options, &shutdown));
+        let _stop = StopOnDrop(&shutdown);
 
         let mut stream = TcpStream::connect(addr).expect("connect");
         for i in 0..2 {

@@ -190,8 +190,9 @@ mod tests {
         let a = api.types().resolve("t.A").unwrap();
         let b = api.types().resolve("t.B").unwrap();
         let to_b = api.lookup_instance_method(a, "toB", 0)[0];
-        let mut graph = JungloidGraph::from_api(&api, GraphConfig::default());
-        graph
+        let signature = JungloidGraph::from_api(&api, GraphConfig::default());
+        let mut builder = crate::graph::GraphBuilder::from_graph(&signature);
+        builder
             .add_example(
                 &api,
                 &[
@@ -204,6 +205,7 @@ mod tests {
                 ],
             )
             .unwrap();
+        let graph = builder.freeze();
         let dot = neighborhood(
             &api,
             &graph,

@@ -19,8 +19,8 @@ use jungloid_typesys::{Ty, TyId};
 use prospector_obs::trace::{self, TraceId};
 
 use crate::cache::{Lookup, ShardedLru, SingleflightCache};
-use crate::generalize::generalize;
-use crate::graph::{ExampleError, GraphConfig, JungloidGraph, NodeId};
+use crate::generalize::{generalize, generalize_terminal};
+use crate::graph::{ExampleError, GraphBuilder, GraphConfig, JungloidGraph, NodeId};
 use crate::path::Jungloid;
 use crate::rank::{rank_key, RankKey, RankOptions};
 use crate::search::{
@@ -62,6 +62,9 @@ struct QueryKey {
     search: SearchConfig,
     ranking: RankOptions,
 }
+
+/// A §4.2 example generalizer: [`generalize`] or [`generalize_terminal`].
+type Generalizer = fn(&[Vec<ElemJungloid>]) -> Vec<Vec<ElemJungloid>>;
 
 thread_local! {
     /// Per-thread search scratch: each serial caller and each batch
@@ -289,37 +292,15 @@ impl Prospector {
     ///
     /// # Errors
     ///
-    /// Propagates [`ExampleError`] for ill-typed examples.
+    /// Propagates [`ExampleError`] for ill-typed examples. The batch is
+    /// all-or-nothing: on error the graph, its epoch and every cache are
+    /// left exactly as they were.
     pub fn add_examples(
         &mut self,
         examples: &[Vec<ElemJungloid>],
         generalize_first: bool,
     ) -> Result<usize, ExampleError> {
-        let config = self.graph.config();
-        let visible: Vec<Vec<ElemJungloid>> = examples
-            .iter()
-            .filter(|e| e.iter().all(|elem| self.elem_visible(elem, config)))
-            .cloned()
-            .collect();
-        let prepared: Vec<Vec<ElemJungloid>> = if generalize_first {
-            let _span = prospector_obs::stage("generalize");
-            generalize(&visible)
-        } else {
-            visible
-        };
-        let mut added = 0;
-        for e in &prepared {
-            if self.graph.add_example(&self.api, e)? {
-                added += 1;
-            }
-        }
-        // The graph (and its CSR) changed shape: every cached distance
-        // field is stale. Cached query results need no eager sweep — the
-        // splice advanced the graph epoch, so their stamps no longer
-        // match and each is dropped (and counted as an invalidation) on
-        // its next lookup.
-        self.dist_cache.clear();
-        Ok(added)
+        self.splice(examples, generalize_first.then_some(generalize))
     }
 
     /// The §4.3 extension: splices *parameter-mined* examples — chains
@@ -331,35 +312,55 @@ impl Prospector {
     ///
     /// # Errors
     ///
-    /// Propagates [`ExampleError`] for ill-typed examples.
+    /// As [`Prospector::add_examples`].
     pub fn add_param_examples(
         &mut self,
         examples: &[Vec<ElemJungloid>],
         generalize_first: bool,
     ) -> Result<usize, ExampleError> {
-        let config = self.graph.config();
+        self.splice(examples, generalize_first.then_some(generalize_terminal))
+    }
+
+    /// The shared splice path: drop examples using members the user may
+    /// not call, generalize the rest, splice them all into one builder
+    /// over the current graph and freeze it once. The new graph is
+    /// installed only if every example was valid.
+    fn splice(
+        &mut self,
+        examples: &[Vec<ElemJungloid>],
+        generalize: Option<Generalizer>,
+    ) -> Result<usize, ExampleError> {
         let visible: Vec<Vec<ElemJungloid>> = examples
             .iter()
-            .filter(|e| e.iter().all(|elem| self.elem_visible(elem, config)))
+            .filter(|e| e.iter().all(|elem| self.elem_visible(elem)))
             .cloned()
             .collect();
-        let prepared: Vec<Vec<ElemJungloid>> = if generalize_first {
-            let _span = prospector_obs::stage("generalize");
-            crate::generalize::generalize_terminal(&visible)
-        } else {
-            visible
+        let prepared = match generalize {
+            Some(generalize) => {
+                let _span = prospector_obs::stage("generalize");
+                generalize(&visible)
+            }
+            None => visible,
         };
+        let mut builder = GraphBuilder::from_graph(&self.graph);
         let mut added = 0;
         for e in &prepared {
-            if self.graph.add_example(&self.api, e)? {
+            if builder.add_example(&self.api, e)? {
                 added += 1;
             }
         }
-        self.dist_cache.clear();
+        if added > 0 {
+            self.graph = builder.freeze();
+            // Every cached distance field belongs to the old graph. Cached
+            // query results need no eager sweep — the new graph has a new
+            // epoch, so their stamps no longer match and each is dropped
+            // (and counted as an invalidation) on its next lookup.
+            self.dist_cache.clear();
+        }
         Ok(added)
     }
 
-    fn elem_visible(&self, elem: &ElemJungloid, config: crate::graph::GraphConfig) -> bool {
+    fn elem_visible(&self, elem: &ElemJungloid) -> bool {
         use jungloid_apidef::Visibility;
         let vis = match *elem {
             ElemJungloid::Call { method, .. } => self.api.method(method).visibility,
@@ -368,7 +369,7 @@ impl Prospector {
         };
         match vis {
             Visibility::Public => true,
-            Visibility::Protected => config.include_protected,
+            Visibility::Protected => self.graph.config().include_protected,
             Visibility::Private => false,
         }
     }

@@ -9,27 +9,30 @@
 //! Downcast edges are deliberately absent from the signature graph: adding
 //! `(T) x : Object → T` for every `T` would represent mostly inviable
 //! jungloids and, being short, they would crowd the top ranks (§4.1,
-//! Figure 3). Instead, [`JungloidGraph::add_example`] splices in a path per
+//! Figure 3). Instead, [`GraphBuilder::add_example`] splices in a path per
 //! *mined* example jungloid, introducing a fresh node for every
 //! intermediate object. Those fresh "typestate" nodes (the paper cites
 //! Strom & Yemini) ensure the example lends viability only to jungloids
 //! that reproduce its call sequence — Figure 6's `Object-1` node.
+//!
+//! As in the paper, the graph is assembled once and then only queried: a
+//! [`GraphBuilder`] collects signature edges, example paths and (for the
+//! ablation) naive downcasts, and [`GraphBuilder::freeze`] packs them into
+//! the immutable CSR a [`JungloidGraph`] is made of.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
 use jungloid_typesys::TyId;
-use prospector_obs::json::{decode_err, Json, JsonError};
 
 use crate::slab::{ElemSeq, Slab};
 
-/// Process-global epoch source. Every graph *state* — a freshly built
-/// graph, a loaded snapshot, or the state after any mutation — gets a
-/// distinct epoch, so an epoch-stamped cache entry from one state can
-/// never match another. Monotone and process-wide: two different graphs
-/// never share an epoch either, which keeps stamps valid even if an
-/// engine is rebuilt in place.
+/// Process-global epoch source. Every graph — frozen by a builder or
+/// loaded from a snapshot — gets a distinct epoch, so an epoch-stamped
+/// cache entry from one graph can never match another. Monotone and
+/// process-wide, which keeps stamps valid even when an engine replaces
+/// its graph in place.
 static GRAPH_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn next_epoch() -> u64 {
@@ -110,30 +113,24 @@ impl GraphStats {
     }
 }
 
-/// Frozen compressed-sparse-row (CSR) mirror of the adjacency — the
-/// query hot path's view of the graph.
+/// Compressed-sparse-row (CSR) adjacency — the only representation of a
+/// [`JungloidGraph`]'s edges, and the query hot path's view of them.
 ///
-/// The `Vec<Vec<_>>` adjacency on [`JungloidGraph`] is the *builder*
-/// representation: cheap to append to while signatures and mined examples
-/// are spliced in, but every node hop during search costs a pointer chase
-/// into a separately allocated edge list. The CSR mirror packs all edges
-/// into contiguous arrays indexed by dense node index — `off[n]..off[n+1]`
-/// spans node `n`'s edges — in structure-of-arrays form so the 0-1 BFS
-/// touches only `(from, cost)` and the DFS touches only
-/// `(to, cost, elem)`.
+/// All edges are packed into contiguous arrays indexed by dense node
+/// index — `off[n]..off[n+1]` spans node `n`'s edges — in
+/// structure-of-arrays form so the 0-1 BFS touches only `(from, cost)` and
+/// the DFS touches only `(to, cost, elem)`. The reverse side is the
+/// transpose of the forward side.
 ///
-/// Invariant: the CSR is rebuilt at the end of every mutating operation
-/// ([`JungloidGraph::from_api`], [`JungloidGraph::from_json`],
-/// [`JungloidGraph::add_example`],
-/// [`JungloidGraph::with_naive_downcasts`]), so it always reflects the
-/// list adjacency, with per-node edge order preserved. The engine relies
-/// on this when `add_examples` / `add_param_examples` grow the graph.
+/// A CSR is built exactly once per graph, by [`GraphBuilder::freeze`], or
+/// restored verbatim from a snapshot ([`CsrAdjacency::from_slabs`]); it is
+/// never mutated afterwards.
 ///
 /// Each array is a [`Slab`]: either owned (built in memory) or borrowed
-/// straight out of a format-v2 snapshot buffer ([`SnapshotBuf`]), in
-/// which case loading the graph copies no edge data at all. The
-/// elementary jungloids are an [`ElemSeq`]: owned structs when built,
-/// or the snapshot's packed 4×`u32` quads decoded on access.
+/// straight out of a snapshot buffer ([`SnapshotBuf`]), in which case
+/// loading the graph copies no edge data at all. The elementary jungloids
+/// are an [`ElemSeq`]: owned structs when built, or the snapshot's packed
+/// 4×`u32` quads decoded on access.
 #[derive(Clone, Debug, Default)]
 pub struct CsrAdjacency {
     /// Forward offsets; `len = node_count + 1`.
@@ -152,45 +149,16 @@ pub struct CsrAdjacency {
     rev_cost: Slab<u8>,
 }
 
-impl CsrAdjacency {
-    fn build(graph: &JungloidGraph) -> Self {
-        let n = graph.node_count();
-        let edges = u32::try_from(graph.edge_count).expect("edge arena fits u32");
-        let mut fwd_off = Vec::with_capacity(n + 1);
-        let mut fwd_to = Vec::with_capacity(edges as usize);
-        let mut fwd_elem = Vec::with_capacity(edges as usize);
-        let mut fwd_cost = Vec::with_capacity(edges as usize);
-        let mut rev_off = Vec::with_capacity(n + 1);
-        let mut rev_from = Vec::with_capacity(edges as usize);
-        let mut rev_cost = Vec::with_capacity(edges as usize);
-        fwd_off.push(0);
-        for row in &graph.out {
-            for e in row {
-                fwd_to.push(u32::try_from(graph.index_of(e.to)).expect("node fits u32"));
-                fwd_elem.push(e.elem);
-                fwd_cost.push(u8::from(!e.elem.is_widen()));
-            }
-            fwd_off.push(u32::try_from(fwd_to.len()).expect("edge arena fits u32"));
-        }
-        rev_off.push(0);
-        for row in &graph.rev {
-            for &(from, cost) in row {
-                rev_from.push(u32::try_from(graph.index_of(from)).expect("node fits u32"));
-                rev_cost.push(cost);
-            }
-            rev_off.push(u32::try_from(rev_from.len()).expect("edge arena fits u32"));
-        }
-        CsrAdjacency {
-            fwd_off: Slab::from_vec(fwd_off),
-            fwd_to: Slab::from_vec(fwd_to),
-            fwd_elem: ElemSeq::Owned(fwd_elem),
-            fwd_cost: Slab::from_vec(fwd_cost),
-            rev_off: Slab::from_vec(rev_off),
-            rev_from: Slab::from_vec(rev_from),
-            rev_cost: Slab::from_vec(rev_cost),
-        }
-    }
+/// Step cost of an edge in the 0-1 BFS: widening is free.
+fn step_cost(elem: ElemJungloid) -> u8 {
+    u8::from(!elem.is_widen())
+}
 
+fn dense(index: usize) -> u32 {
+    u32::try_from(index).expect("node and edge arenas fit u32")
+}
+
+impl CsrAdjacency {
     /// Node count covered by this layout.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -223,44 +191,18 @@ impl CsrAdjacency {
         &self.rev_off
     }
 
-    /// Reassembles a CSR from stored flat arrays (the `prospector-store`
+    /// Reassembles a CSR from stored arrays (the `prospector-store`
     /// snapshot loader), validating structure so a corrupt file can never
     /// produce an index-out-of-bounds panic on the query hot path:
     /// offsets must start at zero, grow monotonically, and end at the
     /// edge count; forward and reverse edge counts must agree; every
     /// dense index must be in range; and each stored cost must equal the
-    /// cost [`CsrAdjacency::build`] derives from its elementary jungloid.
+    /// cost a builder derives from its elementary jungloid.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] naming the violated invariant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_arrays(
-        fwd_off: Vec<u32>,
-        fwd_to: Vec<u32>,
-        fwd_elem: Vec<ElemJungloid>,
-        fwd_cost: Vec<u8>,
-        rev_off: Vec<u32>,
-        rev_from: Vec<u32>,
-        rev_cost: Vec<u8>,
-    ) -> Result<CsrAdjacency, SnapshotError> {
-        CsrAdjacency::from_slabs(
-            Slab::from_vec(fwd_off),
-            Slab::from_vec(fwd_to),
-            ElemSeq::Owned(fwd_elem),
-            Slab::from_vec(fwd_cost),
-            Slab::from_vec(rev_off),
-            Slab::from_vec(rev_from),
-            Slab::from_vec(rev_cost),
-        )
-    }
-
-    /// [`CsrAdjacency::from_arrays`] over slab-backed storage: the arrays
-    /// may borrow directly from a snapshot buffer (the format-v2 zero-copy
-    /// load) or be owned, and the same structural validation runs either
-    /// way. Elementary jungloids are consulted through the [`ElemSeq`]
-    /// accessor, so packed quads are decoded exactly once here and then
-    /// again lazily on the hot path.
+    /// The arrays may borrow directly from a snapshot buffer (the
+    /// zero-copy load) or be owned. Elementary jungloids are consulted
+    /// through the [`ElemSeq`] accessor, so packed quads are decoded once
+    /// here and then again lazily on the hot path.
     ///
     /// # Errors
     ///
@@ -320,7 +262,7 @@ impl CsrAdjacency {
             return fail(format!("edge endpoint {bad} out of range ({node_count} nodes)"));
         }
         for (i, elem) in fwd_elem.iter().enumerate() {
-            if fwd_cost[i] != u8::from(!elem.is_widen()) {
+            if fwd_cost[i] != step_cost(elem) {
                 return fail(format!("forward edge {i} cost disagrees with its jungloid kind"));
             }
         }
@@ -345,7 +287,7 @@ impl CsrAdjacency {
     }
 
     /// True if any array borrows from a snapshot buffer rather than
-    /// owning its storage (the format-v2 zero-copy load path).
+    /// owning its storage (the zero-copy load path).
     #[must_use]
     pub fn is_borrowed(&self) -> bool {
         self.fwd_off.is_borrowed()
@@ -425,54 +367,45 @@ impl std::fmt::Display for ExampleError {
 
 impl std::error::Error for ExampleError {}
 
-/// The jungloid graph: signature edges plus mined example paths.
-#[derive(Clone, Debug)]
-pub struct JungloidGraph {
+/// Collects a jungloid graph's nodes and edges and
+/// [`freeze`](GraphBuilder::freeze)s them into an immutable
+/// [`JungloidGraph`] exactly once.
+///
+/// Per-node edge order is insertion order, on both the forward and the
+/// reverse side. When extending an existing graph
+/// ([`GraphBuilder::from_graph`]), each node's rows from that graph come
+/// first and the appended edges follow in the order they were added — so
+/// splicing a batch of examples at once yields the same CSR as splicing
+/// them one at a time. Search enumeration order and the snapshot bytes
+/// depend on this order.
+#[derive(Debug)]
+pub struct GraphBuilder<'g> {
     config: GraphConfig,
-    /// Number of type-backed nodes (= type-table size at build time).
     ty_count: u32,
-    /// Base type of each mined node (the static type at that program
-    /// point; used for display and ranking).
     mined_base: Vec<TyId>,
-    /// Out-edges, indexed by dense node index (types first, then mined).
-    /// Empty while the graph is *frozen* (snapshot-loaded and unmutated);
-    /// see [`JungloidGraph::thaw`].
-    out: Vec<Vec<Edge>>,
-    /// Reverse adjacency for distance-to-target pruning:
-    /// `(from, step_cost)` per in-edge. Empty while frozen.
-    rev: Vec<Vec<(NodeId, u8)>>,
-    /// Whether `out`/`rev` are materialized. Construction from an API or
-    /// JSON builds them eagerly; a snapshot load leaves the graph frozen
-    /// on the CSR alone and [`JungloidGraph::thaw`] materializes them on
-    /// the first mutation.
-    lists_ready: bool,
-    /// Example step-sequences already added (dedup).
     examples: Vec<Vec<ElemJungloid>>,
-    edge_count: usize,
-    /// Frozen CSR mirror of `out`/`rev`; rebuilt after every mutation.
-    csr: CsrAdjacency,
-    /// This graph state's epoch (see [`JungloidGraph::epoch`]). Advanced
-    /// on every mutation, fresh on every construction path.
-    epoch: u64,
+    /// How many of `examples` the extended graph already had.
+    base_examples: usize,
+    /// The graph being extended; its rows precede every appended edge.
+    base: Option<&'g CsrAdjacency>,
+    /// Appended edges as `(from, elem, to)` dense indices, in insertion
+    /// order.
+    edges: Vec<(u32, ElemJungloid, u32)>,
 }
 
-impl JungloidGraph {
-    /// Builds the signature graph of an API (§3.1): field, call, and
-    /// widening edges; no downcasts.
+impl<'g> GraphBuilder<'g> {
+    /// The signature graph of an API (§3.1): field, call, and widening
+    /// edges; no downcasts.
     #[must_use]
     pub fn from_api(api: &Api, config: GraphConfig) -> Self {
-        let ty_count = u32::try_from(api.types().len()).expect("type arena fits u32");
-        let mut graph = JungloidGraph {
+        let mut builder = GraphBuilder {
             config,
-            ty_count,
+            ty_count: dense(api.types().len()),
             mined_base: Vec::new(),
-            out: vec![Vec::new(); ty_count as usize],
-            rev: vec![Vec::new(); ty_count as usize],
-            lists_ready: true,
             examples: Vec::new(),
-            edge_count: 0,
-            csr: CsrAdjacency::default(),
-            epoch: next_epoch(),
+            base_examples: 0,
+            base: None,
+            edges: Vec::new(),
         };
         let visible = |v: Visibility| match v {
             Visibility::Public => true,
@@ -483,8 +416,7 @@ impl JungloidGraph {
             // Definition 2: the output must be a class type, so
             // primitive-typed fields induce no elementary jungloid.
             if visible(api.field(f).visibility) && api.types().is_reference(api.field(f).ty) {
-                let elem = elem_of_field(f);
-                graph.push_edge(NodeId::Ty(elem.input_ty(api)), elem, NodeId::Ty(elem.output_ty(api)));
+                builder.push_between_types(api, elem_of_field(f));
             }
         }
         let weak_tys: Vec<TyId> = if config.restrict_weak_params {
@@ -507,11 +439,7 @@ impl JungloidGraph {
                             continue;
                         }
                     }
-                    graph.push_edge(
-                        NodeId::Ty(elem.input_ty(api)),
-                        elem,
-                        NodeId::Ty(elem.output_ty(api)),
-                    );
+                    builder.push_between_types(api, elem);
                 }
             }
         }
@@ -519,250 +447,32 @@ impl JungloidGraph {
         // arises by composing them, at zero cost).
         for t in api.types().ids() {
             for sup in api.types().direct_supertypes(t) {
-                let elem = ElemJungloid::Widen { from: t, to: sup };
-                graph.push_edge(NodeId::Ty(t), elem, NodeId::Ty(sup));
+                builder.push_between_types(api, ElemJungloid::Widen { from: t, to: sup });
             }
         }
-        graph.rebuild_csr();
-        prospector_obs::gauge_set("graph.nodes", graph.node_count() as u64);
-        prospector_obs::gauge_set("graph.edges", graph.edge_count as u64);
-        graph
+        builder
     }
 
-    /// Restores a graph from a stored snapshot: the CSR arrays verbatim
-    /// (already validated by [`CsrAdjacency::from_arrays`] /
-    /// [`CsrAdjacency::from_slabs`]) plus the mined node bases and example
-    /// step-sequences. The graph comes back *frozen*: queries run on the
-    /// CSR alone (which may borrow directly from the snapshot buffer) and
-    /// the builder list adjacency stays empty until the first mutation
-    /// [`thaw`](JungloidGraph::thaw)s it. No rebuild happens, so a warm
-    /// start records no `graph.csr.rebuilds`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the CSR's node count disagrees with
-    /// `api.types().len() + mined_base.len()` or a mined base type is out
-    /// of range. Elementary jungloids inside `csr` and `examples` must
-    /// already be validated against `api` (the store's section decoder
-    /// does this).
-    pub fn from_snapshot(
-        api: &Api,
-        config: GraphConfig,
-        mined_base: Vec<TyId>,
-        examples: Vec<Vec<ElemJungloid>>,
-        csr: CsrAdjacency,
-    ) -> Result<JungloidGraph, SnapshotError> {
-        let ty_count = u32::try_from(api.types().len())
-            .map_err(|_| SnapshotError { detail: "type arena exceeds u32".to_owned() })?;
-        let node_count = ty_count as usize + mined_base.len();
-        if csr.node_count() != node_count {
-            return Err(SnapshotError {
-                detail: format!(
-                    "CSR covers {} nodes but the API and mined bases imply {node_count}",
-                    csr.node_count()
-                ),
-            });
+    /// Appends an edge from the node of `elem`'s input type to the node of
+    /// its output type.
+    fn push_between_types(&mut self, api: &Api, elem: ElemJungloid) {
+        let (from, to) = (elem.input_ty(api).index(), elem.output_ty(api).index());
+        self.edges.push((dense(from), elem, dense(to)));
+    }
+
+    /// Starts from an existing graph: its nodes, spliced examples and
+    /// edges, which keep their order ahead of anything added here.
+    #[must_use]
+    pub fn from_graph(graph: &'g JungloidGraph) -> Self {
+        GraphBuilder {
+            config: graph.config,
+            ty_count: graph.ty_count,
+            mined_base: graph.mined_base.clone(),
+            examples: graph.examples.clone(),
+            base_examples: graph.examples.len(),
+            base: Some(&graph.csr),
+            edges: Vec::new(),
         }
-        if let Some(bad) = mined_base.iter().find(|t| t.index() >= ty_count as usize) {
-            return Err(SnapshotError {
-                detail: format!("mined base type {bad:?} out of range ({ty_count} types)"),
-            });
-        }
-        // The reverse side must be the transpose of the forward side; the
-        // cheap certificate is matching per-node in-degrees.
-        let mut indegree = vec![0u32; node_count];
-        for &to in csr.out_to() {
-            indegree[to as usize] += 1;
-        }
-        for (node, &expected) in indegree.iter().enumerate() {
-            if csr.in_range(node).len() != expected as usize {
-                return Err(SnapshotError {
-                    detail: format!("node {node} in-degree disagrees between CSR sides"),
-                });
-            }
-        }
-        let graph = JungloidGraph {
-            config,
-            ty_count,
-            mined_base,
-            out: Vec::new(),
-            rev: Vec::new(),
-            lists_ready: false,
-            examples,
-            edge_count: csr.edge_count(),
-            csr,
-            epoch: next_epoch(),
-        };
-        prospector_obs::gauge_set("graph.nodes", graph.node_count() as u64);
-        prospector_obs::gauge_set("graph.edges", graph.edge_count as u64);
-        prospector_obs::gauge_set("graph.csr.edges", graph.csr.edge_count() as u64);
-        prospector_obs::gauge_set("graph.csr.bytes", graph.csr.approx_bytes() as u64);
-        Ok(graph)
-    }
-
-    /// The frozen CSR view of the adjacency (always in sync; see
-    /// [`CsrAdjacency`]).
-    #[must_use]
-    pub fn csr(&self) -> &CsrAdjacency {
-        &self.csr
-    }
-
-    fn rebuild_csr(&mut self) {
-        self.csr = CsrAdjacency::build(self);
-        prospector_obs::add("graph.csr.rebuilds", 1);
-        prospector_obs::gauge_set("graph.csr.edges", self.csr.edge_count() as u64);
-        prospector_obs::gauge_set("graph.csr.bytes", self.csr.approx_bytes() as u64);
-        // Flight-recorder hook: rebuilds invalidate every cached distance
-        // field, so a rebuild mid-trace explains a burst of cache misses.
-        prospector_obs::trace::process_event("graph", "csr_rebuild", self.csr.edge_count() as u64);
-    }
-
-    /// The configuration the graph was built with.
-    #[must_use]
-    pub fn config(&self) -> GraphConfig {
-        self.config
-    }
-
-    /// The epoch of this graph state. Distinct for every construction
-    /// (built, deserialized, snapshot-loaded) and advanced by every
-    /// mutation ([`JungloidGraph::add_example`],
-    /// [`JungloidGraph::with_naive_downcasts`]), so anything derived from
-    /// the graph — cached query results in particular — can stamp itself
-    /// with the epoch and detect staleness by comparison alone.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total node count (type nodes + mined nodes).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.ty_count as usize + self.mined_base.len()
-    }
-
-    /// Number of mined (typestate) nodes.
-    #[must_use]
-    pub fn mined_node_count(&self) -> usize {
-        self.mined_base.len()
-    }
-
-    /// Total edge count.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// The mined example step-sequences spliced into this graph.
-    #[must_use]
-    pub fn examples(&self) -> &[Vec<ElemJungloid>] {
-        &self.examples
-    }
-
-    /// Dense index of a node.
-    #[must_use]
-    pub fn index_of(&self, node: NodeId) -> usize {
-        match node {
-            NodeId::Ty(t) => t.index(),
-            NodeId::Mined(i) => self.ty_count as usize + i as usize,
-        }
-    }
-
-    /// The node at a dense index.
-    #[must_use]
-    pub fn node_at(&self, index: usize) -> NodeId {
-        if index < self.ty_count as usize {
-            NodeId::Ty(TyId::from_index(index))
-        } else {
-            NodeId::Mined(u32::try_from(index - self.ty_count as usize).expect("mined fits u32"))
-        }
-    }
-
-    /// The underlying type of a node: the type itself, or a mined node's
-    /// static ("base") type.
-    #[must_use]
-    pub fn base_ty(&self, node: NodeId) -> TyId {
-        match node {
-            NodeId::Ty(t) => t,
-            NodeId::Mined(i) => self.mined_base[i as usize],
-        }
-    }
-
-    /// Out-edges of a node, derived from the CSR (which is always in sync
-    /// with the graph state — rebuilt after every mutation, verbatim after
-    /// a snapshot load). Returned by value so frozen (zero-copy loaded)
-    /// and thawed graphs answer identically.
-    #[must_use]
-    pub fn out_edges(&self, node: NodeId) -> Vec<Edge> {
-        let idx = self.index_of(node);
-        self.csr
-            .out_range(idx)
-            .map(|flat| Edge {
-                elem: self.csr.out_elem().get(flat),
-                to: self.node_at(self.csr.out_to()[flat] as usize),
-            })
-            .collect()
-    }
-
-    /// In-edges of a node as `(from, step_cost)` pairs, derived from the
-    /// CSR like [`JungloidGraph::out_edges`].
-    #[must_use]
-    pub fn in_edges(&self, node: NodeId) -> Vec<(NodeId, u8)> {
-        let idx = self.index_of(node);
-        self.csr
-            .in_range(idx)
-            .map(|flat| (self.node_at(self.csr.in_from()[flat] as usize), self.csr.in_cost()[flat]))
-            .collect()
-    }
-
-    /// Materializes the builder list adjacency from the CSR if the graph
-    /// is frozen (snapshot-loaded). Mutation paths call this before
-    /// appending edges; queries never need it. Idempotent; does not
-    /// advance the epoch (the graph state is unchanged).
-    fn thaw(&mut self) {
-        if self.lists_ready {
-            return;
-        }
-        let node_count = self.node_count();
-        let mut out = vec![Vec::new(); node_count];
-        let mut rev = vec![Vec::new(); node_count];
-        for (node, row) in out.iter_mut().enumerate() {
-            for flat in self.csr.out_range(node) {
-                row.push(Edge {
-                    elem: self.csr.out_elem().get(flat),
-                    to: self.node_at(self.csr.out_to()[flat] as usize),
-                });
-            }
-        }
-        for (node, row) in rev.iter_mut().enumerate() {
-            for flat in self.csr.in_range(node) {
-                row.push((
-                    self.node_at(self.csr.in_from()[flat] as usize),
-                    self.csr.in_cost()[flat],
-                ));
-            }
-        }
-        self.out = out;
-        self.rev = rev;
-        self.lists_ready = true;
-    }
-
-    fn push_edge(&mut self, from: NodeId, elem: ElemJungloid, to: NodeId) {
-        debug_assert!(self.lists_ready, "push_edge on a frozen graph; thaw first");
-        let cost = u8::from(!elem.is_widen());
-        let fi = self.index_of(from);
-        self.out[fi].push(Edge { elem, to });
-        let ti = self.index_of(to);
-        self.rev[ti].push((from, cost));
-        self.edge_count += 1;
-    }
-
-    fn fresh_mined(&mut self, base: TyId) -> NodeId {
-        debug_assert!(self.lists_ready, "fresh_mined on a frozen graph; thaw first");
-        let id = u32::try_from(self.mined_base.len()).expect("mined arena fits u32");
-        self.mined_base.push(base);
-        self.out.push(Vec::new());
-        self.rev.push(Vec::new());
-        NodeId::Mined(id)
     }
 
     /// Splices a mined example jungloid into the graph (§4.2, Figure 6).
@@ -778,7 +488,8 @@ impl JungloidGraph {
     /// # Errors
     ///
     /// The steps must be non-empty and well-typed (each step's input type
-    /// equal to its predecessor's output type).
+    /// equal to its predecessor's output type). A rejected example adds
+    /// nothing.
     pub fn add_example(&mut self, api: &Api, steps: &[ElemJungloid]) -> Result<bool, ExampleError> {
         if steps.is_empty() {
             return Err(ExampleError { detail: "empty step sequence".to_owned() });
@@ -828,44 +539,336 @@ impl JungloidGraph {
         if self.examples.iter().any(|e| e == steps) {
             return Ok(false);
         }
-        self.thaw();
-        let mut from = NodeId::Ty(steps[0].input_ty(api));
+        let mut from = dense(steps[0].input_ty(api).index());
         for (i, &elem) in steps.iter().enumerate() {
             let to = if i + 1 == steps.len() {
-                NodeId::Ty(elem.output_ty(api))
+                dense(elem.output_ty(api).index())
             } else {
-                self.fresh_mined(elem.output_ty(api))
+                // A fresh typestate node for the intermediate object.
+                self.mined_base.push(elem.output_ty(api));
+                self.ty_count + dense(self.mined_base.len() - 1)
             };
-            self.push_edge(from, elem, to);
+            self.edges.push((from, elem, to));
             from = to;
         }
         self.examples.push(steps.to_vec());
-        self.rebuild_csr();
-        self.epoch = next_epoch();
-        prospector_obs::add("graph.examples_spliced", 1);
         Ok(true)
     }
 
-    /// Adds *all downcast elementary jungloids* to a copy of this graph:
-    /// `(U) x : T → U` for every declared `U <: T`. This is the naive
-    /// strategy of §4.1 / Figure 3, reproduced for the mining-ablation
-    /// experiment; it is intentionally terrible.
-    #[must_use]
-    pub fn with_naive_downcasts(&self, api: &Api) -> JungloidGraph {
-        let mut g = self.clone();
-        g.thaw();
+    /// Adds *all downcast elementary jungloids*: `(U) x : T → U` for every
+    /// declared `U <: T`. This is the naive strategy of §4.1 / Figure 3,
+    /// reproduced for the mining-ablation experiment; it is intentionally
+    /// terrible.
+    pub fn add_naive_downcasts(&mut self, api: &Api) {
         for t in api.types().ids() {
             if !api.types().is_reference(t) || t == api.types().null() {
                 continue;
             }
             for sub in api.types().strict_subtypes(t) {
-                let elem = ElemJungloid::Downcast { from: t, to: sub };
-                g.push_edge(NodeId::Ty(t), elem, NodeId::Ty(sub));
+                self.push_between_types(api, ElemJungloid::Downcast { from: t, to: sub });
             }
         }
-        g.rebuild_csr();
-        g.epoch = next_epoch();
-        g
+    }
+
+    /// Packs the graph into its CSR and stamps a fresh epoch. Each node's
+    /// rows are the base graph's rows followed by the appended edges in
+    /// insertion order: a stable counting sort of the appended edges by
+    /// source (forward side) and by destination (reverse side), merged
+    /// behind the base rows.
+    #[must_use]
+    pub fn freeze(self) -> JungloidGraph {
+        let n = self.ty_count as usize + self.mined_base.len();
+        let spliced = self.examples.len() - self.base_examples;
+        let total = self.base.map_or(0, CsrAdjacency::edge_count) + self.edges.len();
+        let (fwd_start, fwd_order) = group_by(n, &self.edges, |&(from, _, _)| from);
+        let (rev_start, rev_order) = group_by(n, &self.edges, |&(_, _, to)| to);
+
+        let mut fwd_off = Vec::with_capacity(n + 1);
+        let mut fwd_to = Vec::with_capacity(total);
+        let mut fwd_elem = Vec::with_capacity(total);
+        let mut rev_off = Vec::with_capacity(n + 1);
+        let mut rev_from = Vec::with_capacity(total);
+        let mut rev_cost = Vec::with_capacity(total);
+        fwd_off.push(0);
+        rev_off.push(0);
+        for node in 0..n {
+            if let Some(base) = self.base.filter(|b| node < b.node_count()) {
+                for flat in base.out_range(node) {
+                    fwd_to.push(base.out_to()[flat]);
+                    fwd_elem.push(base.out_elem().get(flat));
+                }
+                for flat in base.in_range(node) {
+                    rev_from.push(base.in_from()[flat]);
+                    rev_cost.push(base.in_cost()[flat]);
+                }
+            }
+            for &i in &fwd_order[fwd_start[node] as usize..fwd_start[node + 1] as usize] {
+                let (_, elem, to) = self.edges[i as usize];
+                fwd_to.push(to);
+                fwd_elem.push(elem);
+            }
+            for &i in &rev_order[rev_start[node] as usize..rev_start[node + 1] as usize] {
+                let (from, elem, _) = self.edges[i as usize];
+                rev_from.push(from);
+                rev_cost.push(step_cost(elem));
+            }
+            fwd_off.push(dense(fwd_to.len()));
+            rev_off.push(dense(rev_from.len()));
+        }
+        let fwd_cost: Vec<u8> = fwd_elem.iter().map(|&e| step_cost(e)).collect();
+        let csr = CsrAdjacency {
+            fwd_off: Slab::from_vec(fwd_off),
+            fwd_to: Slab::from_vec(fwd_to),
+            fwd_elem: ElemSeq::Owned(fwd_elem),
+            fwd_cost: Slab::from_vec(fwd_cost),
+            rev_off: Slab::from_vec(rev_off),
+            rev_from: Slab::from_vec(rev_from),
+            rev_cost: Slab::from_vec(rev_cost),
+        };
+        let graph = JungloidGraph {
+            config: self.config,
+            ty_count: self.ty_count,
+            mined_base: self.mined_base,
+            examples: self.examples,
+            csr,
+            epoch: next_epoch(),
+        };
+        prospector_obs::add("graph.csr.rebuilds", 1);
+        if spliced > 0 {
+            prospector_obs::add("graph.examples_spliced", spliced as u64);
+        }
+        graph.publish_gauges();
+        // Flight-recorder hook: a new graph invalidates every cached
+        // distance field, so a freeze mid-trace explains a burst of cache
+        // misses.
+        prospector_obs::trace::process_event("graph", "csr_rebuild", graph.edge_count() as u64);
+        graph
+    }
+}
+
+/// A stable counting sort of `edges` by `key`: returns per-key start
+/// offsets (`len = n + 1`) and the edge indices grouped by key, each group
+/// in insertion order.
+fn group_by(
+    n: usize,
+    edges: &[(u32, ElemJungloid, u32)],
+    key: impl Fn(&(u32, ElemJungloid, u32)) -> u32,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        start[key(e) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut cursor = start.clone();
+    let mut order = vec![0u32; edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let slot = &mut cursor[key(e) as usize];
+        order[*slot as usize] = dense(i);
+        *slot += 1;
+    }
+    (start, order)
+}
+
+/// The jungloid graph: signature edges plus mined example paths, frozen
+/// into one immutable CSR. Built by a [`GraphBuilder`] or restored from a
+/// snapshot; to add edges, extend it with [`GraphBuilder::from_graph`]
+/// and freeze a new graph.
+#[derive(Clone, Debug)]
+pub struct JungloidGraph {
+    config: GraphConfig,
+    /// Number of type-backed nodes (= type-table size at build time).
+    ty_count: u32,
+    /// Base type of each mined node (the static type at that program
+    /// point; used for display and ranking).
+    mined_base: Vec<TyId>,
+    /// Example step-sequences already spliced in (dedup).
+    examples: Vec<Vec<ElemJungloid>>,
+    /// The adjacency, forward and reverse; nodes are indexed types first,
+    /// then mined.
+    csr: CsrAdjacency,
+    /// This graph's epoch (see [`JungloidGraph::epoch`]).
+    epoch: u64,
+}
+
+impl JungloidGraph {
+    /// Builds the signature graph of an API (§3.1): field, call, and
+    /// widening edges; no downcasts.
+    #[must_use]
+    pub fn from_api(api: &Api, config: GraphConfig) -> Self {
+        GraphBuilder::from_api(api, config).freeze()
+    }
+
+    /// Restores a graph from a stored snapshot: the CSR arrays verbatim
+    /// (already validated by [`CsrAdjacency::from_slabs`]) plus the mined
+    /// node bases and example step-sequences. Nothing is rebuilt — the
+    /// CSR may borrow directly from the snapshot buffer — so a warm start
+    /// records no `graph.csr.rebuilds`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the CSR's node count disagrees with
+    /// `api.types().len() + mined_base.len()` or a mined base type is out
+    /// of range. Elementary jungloids inside `csr` and `examples` must
+    /// already be validated against `api` (the store's section decoder
+    /// does this).
+    pub fn from_snapshot(
+        api: &Api,
+        config: GraphConfig,
+        mined_base: Vec<TyId>,
+        examples: Vec<Vec<ElemJungloid>>,
+        csr: CsrAdjacency,
+    ) -> Result<JungloidGraph, SnapshotError> {
+        let ty_count = u32::try_from(api.types().len())
+            .map_err(|_| SnapshotError { detail: "type arena exceeds u32".to_owned() })?;
+        let node_count = ty_count as usize + mined_base.len();
+        if csr.node_count() != node_count {
+            return Err(SnapshotError {
+                detail: format!(
+                    "CSR covers {} nodes but the API and mined bases imply {node_count}",
+                    csr.node_count()
+                ),
+            });
+        }
+        if let Some(bad) = mined_base.iter().find(|t| t.index() >= ty_count as usize) {
+            return Err(SnapshotError {
+                detail: format!("mined base type {bad:?} out of range ({ty_count} types)"),
+            });
+        }
+        // The reverse side must be the transpose of the forward side; the
+        // cheap certificate is matching per-node in-degrees.
+        let mut indegree = vec![0u32; node_count];
+        for &to in csr.out_to() {
+            indegree[to as usize] += 1;
+        }
+        for (node, &expected) in indegree.iter().enumerate() {
+            if csr.in_range(node).len() != expected as usize {
+                return Err(SnapshotError {
+                    detail: format!("node {node} in-degree disagrees between CSR sides"),
+                });
+            }
+        }
+        let graph =
+            JungloidGraph { config, ty_count, mined_base, examples, csr, epoch: next_epoch() };
+        graph.publish_gauges();
+        Ok(graph)
+    }
+
+    fn publish_gauges(&self) {
+        prospector_obs::gauge_set("graph.nodes", self.node_count() as u64);
+        prospector_obs::gauge_set("graph.edges", self.edge_count() as u64);
+        prospector_obs::gauge_set("graph.csr.edges", self.csr.edge_count() as u64);
+        prospector_obs::gauge_set("graph.csr.bytes", self.csr.approx_bytes() as u64);
+    }
+
+    /// The graph's CSR adjacency.
+    #[must_use]
+    pub fn csr(&self) -> &CsrAdjacency {
+        &self.csr
+    }
+
+    /// The configuration the graph was built with.
+    #[must_use]
+    pub fn config(&self) -> GraphConfig {
+        self.config
+    }
+
+    /// The epoch of this graph. Distinct for every graph a builder freezes
+    /// or a snapshot load restores, so anything derived from the graph —
+    /// cached query results in particular — can stamp itself with the
+    /// epoch and detect staleness by comparison alone.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Total node count (type nodes + mined nodes).
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.ty_count as usize + self.mined_base.len()
+    }
+
+    /// Number of mined (typestate) nodes.
+    #[must_use]
+    pub fn mined_node_count(&self) -> usize {
+        self.mined_base.len()
+    }
+
+    /// Total edge count.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.csr.edge_count()
+    }
+
+    /// The mined example step-sequences spliced into this graph.
+    #[must_use]
+    pub fn examples(&self) -> &[Vec<ElemJungloid>] {
+        &self.examples
+    }
+
+    /// Dense index of a node.
+    #[must_use]
+    pub fn index_of(&self, node: NodeId) -> usize {
+        match node {
+            NodeId::Ty(t) => t.index(),
+            NodeId::Mined(i) => self.ty_count as usize + i as usize,
+        }
+    }
+
+    /// The node at a dense index.
+    #[must_use]
+    pub fn node_at(&self, index: usize) -> NodeId {
+        if index < self.ty_count as usize {
+            NodeId::Ty(TyId::from_index(index))
+        } else {
+            NodeId::Mined(u32::try_from(index - self.ty_count as usize).expect("mined fits u32"))
+        }
+    }
+
+    /// The underlying type of a node: the type itself, or a mined node's
+    /// static ("base") type.
+    #[must_use]
+    pub fn base_ty(&self, node: NodeId) -> TyId {
+        match node {
+            NodeId::Ty(t) => t,
+            NodeId::Mined(i) => self.mined_base[i as usize],
+        }
+    }
+
+    /// Out-edges of a node, read from the CSR. Returned by value so owned
+    /// and zero-copy loaded graphs answer identically.
+    #[must_use]
+    pub fn out_edges(&self, node: NodeId) -> Vec<Edge> {
+        let idx = self.index_of(node);
+        self.csr
+            .out_range(idx)
+            .map(|flat| Edge {
+                elem: self.csr.out_elem().get(flat),
+                to: self.node_at(self.csr.out_to()[flat] as usize),
+            })
+            .collect()
+    }
+
+    /// In-edges of a node as `(from, step_cost)` pairs, read from the CSR
+    /// like [`JungloidGraph::out_edges`].
+    #[must_use]
+    pub fn in_edges(&self, node: NodeId) -> Vec<(NodeId, u8)> {
+        let idx = self.index_of(node);
+        self.csr
+            .in_range(idx)
+            .map(|flat| (self.node_at(self.csr.in_from()[flat] as usize), self.csr.in_cost()[flat]))
+            .collect()
+    }
+
+    /// A copy of this graph with *all downcast elementary jungloids*
+    /// added (see [`GraphBuilder::add_naive_downcasts`]) — the naive
+    /// strategy of §4.1 / Figure 3, for the mining-ablation experiment.
+    #[must_use]
+    pub fn with_naive_downcasts(&self, api: &Api) -> JungloidGraph {
+        let mut builder = GraphBuilder::from_graph(self);
+        builder.add_naive_downcasts(api);
+        builder.freeze()
     }
 
     /// Per-kind edge statistics (the §3.1/§4.2 composition of the graph).
@@ -877,194 +880,31 @@ impl JungloidGraph {
             examples: self.examples.len(),
             ..GraphStats::default()
         };
-        for idx in 0..self.node_count() {
-            for e in self.out_edges(self.node_at(idx)) {
-                match e.elem {
-                    ElemJungloid::FieldAccess { .. } => stats.field_edges += 1,
-                    ElemJungloid::Call { method, .. } => {
-                        let def = api.method(method);
-                        if def.is_constructor {
-                            stats.constructor_edges += 1;
-                        } else if def.is_static {
-                            stats.static_edges += 1;
-                        } else {
-                            stats.instance_edges += 1;
-                        }
+        for elem in self.csr.out_elem().iter() {
+            match elem {
+                ElemJungloid::FieldAccess { .. } => stats.field_edges += 1,
+                ElemJungloid::Call { method, .. } => {
+                    let def = api.method(method);
+                    if def.is_constructor {
+                        stats.constructor_edges += 1;
+                    } else if def.is_static {
+                        stats.static_edges += 1;
+                    } else {
+                        stats.instance_edges += 1;
                     }
-                    ElemJungloid::Widen { .. } => stats.widening_edges += 1,
-                    ElemJungloid::Downcast { .. } => stats.downcast_edges += 1,
                 }
+                ElemJungloid::Widen { .. } => stats.widening_edges += 1,
+                ElemJungloid::Downcast { .. } => stats.downcast_edges += 1,
             }
         }
         stats
     }
 
-    /// Rough in-memory footprint in bytes (list adjacency, when
-    /// materialized, plus the CSR mirror), for the §5 size report. A
-    /// frozen graph carries no list adjacency at all.
+    /// Rough in-memory footprint in bytes (the CSR plus the mined node
+    /// bases), for the §5 size report.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let lists = if self.lists_ready {
-            let edge = std::mem::size_of::<Edge>();
-            let rev = std::mem::size_of::<(NodeId, u8)>();
-            let node = 2 * std::mem::size_of::<Vec<Edge>>();
-            self.edge_count * (edge + rev) + self.node_count() * node
-        } else {
-            0
-        };
-        lists + self.mined_base.len() * 4 + self.csr.approx_bytes()
-    }
-
-    /// Serializes the graph — config, mined nodes, examples, and the full
-    /// out-adjacency — to JSON. Nodes are encoded by dense index (type
-    /// nodes first, then mined nodes), matching
-    /// [`JungloidGraph::index_of`]; the reverse adjacency is rebuilt on
-    /// load.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let adjacency: Vec<Json> = (0..self.node_count())
-            .map(|node| {
-                Json::Arr(
-                    self.csr
-                        .out_range(node)
-                        .map(|flat| {
-                            Json::obj(vec![
-                                ("e", self.csr.out_elem().get(flat).to_json()),
-                                ("to", Json::num_u(u64::from(self.csr.out_to()[flat]))),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::obj(vec![
-            (
-                "config",
-                Json::obj(vec![
-                    ("include_protected", Json::Bool(self.config.include_protected)),
-                    ("restrict_weak_params", Json::Bool(self.config.restrict_weak_params)),
-                ]),
-            ),
-            ("ty_count", Json::num_u(u64::from(self.ty_count))),
-            (
-                "mined_base",
-                Json::Arr(self.mined_base.iter().map(|t| Json::num_u(t.index() as u64)).collect()),
-            ),
-            (
-                "examples",
-                Json::Arr(
-                    self.examples
-                        .iter()
-                        .map(|steps| Json::Arr(steps.iter().map(ElemJungloid::to_json).collect()))
-                        .collect(),
-                ),
-            ),
-            ("adjacency", Json::Arr(adjacency)),
-        ])
-    }
-
-    /// Deserializes a graph persisted by [`JungloidGraph::to_json`],
-    /// validating every node index and member reference against `api`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the document is malformed, was built over a different
-    /// number of types than `api` declares, or refers to out-of-range
-    /// nodes or members.
-    pub fn from_json(doc: &Json, api: &Api) -> Result<Self, JsonError> {
-        let config_doc = doc.want("config")?;
-        let config = GraphConfig {
-            include_protected: config_doc
-                .want("include_protected")?
-                .as_bool()
-                .ok_or_else(|| decode_err("include_protected must be a bool"))?,
-            restrict_weak_params: config_doc
-                .want("restrict_weak_params")?
-                .as_bool()
-                .ok_or_else(|| decode_err("restrict_weak_params must be a bool"))?,
-        };
-        let ty_count =
-            doc.want("ty_count")?.as_u64().ok_or_else(|| decode_err("ty_count must be an integer"))?;
-        if ty_count != api.types().len() as u64 {
-            return Err(decode_err(format!(
-                "graph was built over {ty_count} types but the API declares {}",
-                api.types().len()
-            )));
-        }
-        let ty_count = u32::try_from(ty_count).map_err(|_| decode_err("ty_count too large"))?;
-        let mined_base = doc
-            .want("mined_base")?
-            .as_arr()
-            .ok_or_else(|| decode_err("mined_base must be an array"))?
-            .iter()
-            .map(|v| {
-                let i = v
-                    .as_u64()
-                    .ok_or_else(|| decode_err("mined_base entries must be integers"))?;
-                let i = usize::try_from(i).map_err(|_| decode_err("mined base out of range"))?;
-                if i < api.types().len() {
-                    Ok(TyId::from_index(i))
-                } else {
-                    Err(decode_err(format!("mined base type {i} out of range")))
-                }
-            })
-            .collect::<Result<Vec<TyId>, JsonError>>()?;
-        let mut examples = Vec::new();
-        for steps_doc in
-            doc.want("examples")?.as_arr().ok_or_else(|| decode_err("examples must be an array"))?
-        {
-            let steps = steps_doc
-                .as_arr()
-                .ok_or_else(|| decode_err("each example must be an array"))?
-                .iter()
-                .map(|v| ElemJungloid::from_json(v, api))
-                .collect::<Result<Vec<_>, JsonError>>()?;
-            examples.push(steps);
-        }
-        let node_count = ty_count as usize + mined_base.len();
-        let adjacency = doc
-            .want("adjacency")?
-            .as_arr()
-            .ok_or_else(|| decode_err("adjacency must be an array"))?;
-        if adjacency.len() != node_count {
-            return Err(decode_err(format!(
-                "adjacency lists {} nodes, expected {node_count}",
-                adjacency.len()
-            )));
-        }
-        let mut graph = JungloidGraph {
-            config,
-            ty_count,
-            mined_base,
-            out: vec![Vec::new(); node_count],
-            rev: vec![Vec::new(); node_count],
-            lists_ready: true,
-            examples,
-            edge_count: 0,
-            csr: CsrAdjacency::default(),
-            epoch: next_epoch(),
-        };
-        for (from_idx, edges_doc) in adjacency.iter().enumerate() {
-            let from = graph.node_at(from_idx);
-            for edge_doc in
-                edges_doc.as_arr().ok_or_else(|| decode_err("adjacency rows must be arrays"))?
-            {
-                let elem = ElemJungloid::from_json(edge_doc.want("e")?, api)?;
-                let to_idx = edge_doc
-                    .want("to")?
-                    .as_u64()
-                    .ok_or_else(|| decode_err("edge target must be an integer"))?;
-                let to_idx =
-                    usize::try_from(to_idx).map_err(|_| decode_err("edge target too large"))?;
-                if to_idx >= node_count {
-                    return Err(decode_err(format!("edge target {to_idx} out of range")));
-                }
-                let to = graph.node_at(to_idx);
-                graph.push_edge(from, elem, to);
-            }
-        }
-        graph.rebuild_csr();
-        Ok(graph)
+        self.mined_base.len() * 4 + self.csr.approx_bytes()
     }
 }
 
@@ -1097,6 +937,31 @@ mod tests {
 
     fn ty(api: &Api, name: &str) -> TyId {
         api.types().resolve(name).unwrap()
+    }
+
+    /// `a.toB()` widened to Object, then cast back down to B.
+    fn cast_example(api: &Api) -> Vec<ElemJungloid> {
+        let a = ty(api, "t.A");
+        let b = ty(api, "t.B");
+        let obj = api.types().object().unwrap();
+        let m = api.lookup_instance_method(a, "toB", 0)[0];
+        vec![
+            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
+            ElemJungloid::Widen { from: b, to: obj },
+            ElemJungloid::Downcast { from: obj, to: b },
+        ]
+    }
+
+    fn with_examples(
+        api: &Api,
+        graph: &JungloidGraph,
+        examples: &[Vec<ElemJungloid>],
+    ) -> JungloidGraph {
+        let mut builder = GraphBuilder::from_graph(graph);
+        for e in examples {
+            builder.add_example(api, e).unwrap();
+        }
+        builder.freeze()
     }
 
     #[test]
@@ -1163,37 +1028,44 @@ mod tests {
     #[test]
     fn reverse_edges_mirror_forward() {
         let api = api();
-        let g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let mut fwd = 0;
-        let mut rev = 0;
+        let g = with_examples(
+            &api,
+            &JungloidGraph::from_api(&api, GraphConfig::default()),
+            &[cast_example(&api)],
+        );
+        let mut forward = Vec::new();
+        let mut reverse = Vec::new();
         for idx in 0..g.node_count() {
             let n = g.node_at(idx);
-            fwd += g.out_edges(n).len();
-            rev += g.in_edges(n).len();
+            for e in g.out_edges(n) {
+                forward.push((n, e.to, u8::from(!e.elem.is_widen())));
+            }
+            for (from, cost) in g.in_edges(n) {
+                reverse.push((from, n, cost));
+            }
         }
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd, g.edge_count());
+        assert_eq!(forward.len(), g.edge_count());
+        forward.sort_unstable();
+        reverse.sort_unstable();
+        assert_eq!(forward, reverse, "the reverse side is the transpose of the forward side");
     }
 
     #[test]
     fn add_example_creates_typestate_path() {
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
+        let base = JungloidGraph::from_api(&api, GraphConfig::default());
         let a = ty(&api, "t.A");
         let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        // a.toB() widened to Object, then cast back down to B:
-        let steps = vec![
-            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-            ElemJungloid::Widen { from: b, to: obj },
-            ElemJungloid::Downcast { from: obj, to: b },
-        ];
-        assert!(g.add_example(&api, &steps).unwrap());
-        assert_eq!(g.mined_node_count(), 2);
+        let steps = cast_example(&api);
+        let mut builder = GraphBuilder::from_graph(&base);
+        assert!(builder.add_example(&api, &steps).unwrap());
         // Duplicate insert is a no-op.
-        assert!(!g.add_example(&api, &steps).unwrap());
+        assert!(!builder.add_example(&api, &steps).unwrap());
+        let g = builder.freeze();
         assert_eq!(g.mined_node_count(), 2);
+        assert_eq!(g.edge_count(), base.edge_count() + 3);
+        // A graph that already holds the example dedups against it.
+        assert!(!GraphBuilder::from_graph(&g).add_example(&api, &steps).unwrap());
 
         // The path enters at A and its last edge lands on the real B node.
         let first: Vec<_> = g
@@ -1214,7 +1086,7 @@ mod tests {
     #[test]
     fn ill_typed_example_rejected() {
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
+        let g = JungloidGraph::from_api(&api, GraphConfig::default());
         let a = ty(&api, "t.A");
         let c = ty(&api, "t.C");
         let m = api.lookup_instance_method(a, "toB", 0)[0];
@@ -1223,8 +1095,14 @@ mod tests {
             // B is not C: composition is ill-typed.
             ElemJungloid::Downcast { from: c, to: c },
         ];
-        assert!(g.add_example(&api, &steps).is_err());
-        assert!(g.add_example(&api, &[]).is_err());
+        let mut builder = GraphBuilder::from_graph(&g);
+        assert!(builder.add_example(&api, &steps).is_err());
+        assert!(builder.add_example(&api, &[]).is_err());
+        // A rejected example adds nothing.
+        let frozen = builder.freeze();
+        assert_eq!(frozen.node_count(), g.node_count());
+        assert_eq!(frozen.edge_count(), g.edge_count());
+        assert!(frozen.examples().is_empty());
     }
 
     #[test]
@@ -1245,7 +1123,7 @@ mod tests {
     #[test]
     fn stats_count_per_kind() {
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
+        let g = JungloidGraph::from_api(&api, GraphConfig::default());
         let stats = g.stats(&api);
         assert_eq!(stats.total_edges(), g.edge_count());
         assert_eq!(stats.downcast_edges, 0);
@@ -1254,205 +1132,80 @@ mod tests {
         assert!(stats.constructor_edges > 0);
         assert!(stats.static_edges > 0);
 
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Downcast { from: b, to: b }, // placeholder replaced below
-            ],
-        )
-        .err(); // invalid (b -> b); ensure stats unaffected by failed add
-        let before = g.stats(&api);
-        assert_eq!(before.downcast_edges, 0);
+        let mined = with_examples(&api, &g, &[cast_example(&api)]);
+        let stats = mined.stats(&api);
+        assert_eq!(stats.total_edges(), mined.edge_count());
+        assert_eq!(stats.downcast_edges, 1);
+        assert_eq!((stats.mined_nodes, stats.examples), (2, 1));
     }
 
+    /// The order invariant the snapshot bytes and the DFS order rest on:
+    /// every node's rows from the extended graph come first, then the
+    /// appended edges in insertion order, on both sides — so one freeze
+    /// of a batch equals one freeze per example.
     #[test]
-    fn json_round_trip_preserves_graph() {
+    fn freezing_keeps_base_rows_first_and_batches_equal_single_splices() {
         let api = api();
-        let mut g = JungloidGraph::from_api(
-            &api,
-            GraphConfig { include_protected: true, ..GraphConfig::default() },
-        );
+        let g = JungloidGraph::from_api(&api, GraphConfig::default());
         let a = ty(&api, "t.A");
         let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Widen { from: b, to: obj },
-                ElemJungloid::Downcast { from: obj, to: b },
-            ],
-        )
-        .unwrap();
+        let first = cast_example(&api);
+        let second = vec![ElemJungloid::Downcast { from: a, to: b }];
 
-        let doc = g.to_json();
-        let back = JungloidGraph::from_json(&doc, &api).unwrap();
-        assert_eq!(back.config(), g.config());
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.mined_node_count(), g.mined_node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(back.examples(), g.examples());
+        let batch = with_examples(&api, &g, &[first.clone(), second.clone()]);
+        let stepwise = with_examples(&api, &with_examples(&api, &g, &[first]), &[second]);
         for idx in 0..g.node_count() {
             let n = g.node_at(idx);
-            assert_eq!(back.out_edges(n), g.out_edges(n));
-            // The reverse adjacency is rebuilt node-by-node on load, so
-            // only its per-node *contents* are preserved, not the order.
-            let mut rev1 = back.in_edges(n);
-            let mut rev2 = g.in_edges(n);
-            rev1.sort_unstable();
-            rev2.sort_unstable();
-            assert_eq!(rev1, rev2);
-            assert_eq!(back.base_ty(n), g.base_ty(n));
+            let (out, ins) = (batch.out_edges(n), batch.in_edges(n));
+            assert_eq!(out[..g.out_edges(n).len()], g.out_edges(n)[..], "node {idx}");
+            assert_eq!(ins[..g.in_edges(n).len()], g.in_edges(n)[..], "node {idx}");
         }
-        // The serialized text survives a parse round trip too.
-        assert_eq!(back.to_json(), doc);
-        let text = doc.to_text();
-        assert_eq!(prospector_obs::Json::parse(&text).unwrap(), doc);
-
-        // Tampered documents are rejected, not mis-loaded.
-        assert!(JungloidGraph::from_json(&Json::obj(vec![]), &api).is_err());
-        let Json::Obj(mut pairs) = doc else { unreachable!() };
-        pairs.retain(|(k, _)| k != "adjacency");
-        assert!(JungloidGraph::from_json(&Json::Obj(pairs), &api).is_err());
-    }
-
-    /// The CSR mirror must agree with the list adjacency edge-for-edge,
-    /// in the same per-node order (search result order depends on it).
-    fn assert_csr_mirrors_lists(g: &JungloidGraph) {
-        let csr = g.csr();
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for idx in 0..g.node_count() {
-            let node = g.node_at(idx);
-            let out = g.out_edges(node);
-            let range = csr.out_range(idx);
-            assert_eq!(range.len(), out.len());
-            for (k, e) in out.iter().enumerate() {
-                let flat = range.start + k;
-                assert_eq!(csr.out_to()[flat] as usize, g.index_of(e.to));
-                assert_eq!(csr.out_elem().get(flat), e.elem);
-                assert_eq!(csr.out_cost()[flat], u8::from(!e.elem.is_widen()));
-            }
-            let ins = g.in_edges(node);
-            let range = csr.in_range(idx);
-            assert_eq!(range.len(), ins.len());
-            for (k, &(from, cost)) in ins.iter().enumerate() {
-                let flat = range.start + k;
-                assert_eq!(csr.in_from()[flat] as usize, g.index_of(from));
-                assert_eq!(csr.in_cost()[flat], cost);
-            }
-        }
+        let csr = |graph: &JungloidGraph| {
+            let c = graph.csr();
+            (
+                c.out_offsets().to_vec(),
+                c.out_to().to_vec(),
+                c.out_elem().iter().collect::<Vec<_>>(),
+                c.out_cost().to_vec(),
+                c.in_offsets().to_vec(),
+                c.in_from().to_vec(),
+                c.in_cost().to_vec(),
+            )
+        };
+        assert_eq!(csr(&batch), csr(&stepwise));
+        assert_eq!(batch.examples(), stepwise.examples());
+        // Appended in-edges of B arrive in insertion order: the cast
+        // example's last step, then the direct downcast.
+        let tail: Vec<_> = batch.in_edges(NodeId::Ty(b))[g.in_edges(NodeId::Ty(b)).len()..]
+            .iter()
+            .map(|&(from, _)| from)
+            .collect();
+        assert_eq!(tail, [NodeId::Mined(1), NodeId::Ty(a)]);
     }
 
     #[test]
-    fn csr_mirrors_signature_graph() {
-        let api = api();
-        let g = JungloidGraph::from_api(&api, GraphConfig::default());
-        assert_csr_mirrors_lists(&g);
-        assert!(g.csr().approx_bytes() > 0);
-    }
-
-    #[test]
-    fn csr_rebuilt_on_add_example_and_naive_downcasts() {
-        let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let edges_before = g.csr().edge_count();
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Widen { from: b, to: obj },
-                ElemJungloid::Downcast { from: obj, to: b },
-            ],
-        )
-        .unwrap();
-        // The mined path's three edges and two fresh nodes are visible in
-        // the rebuilt CSR.
-        assert_eq!(g.csr().edge_count(), edges_before + 3);
-        assert_eq!(g.csr().node_count(), g.node_count());
-        assert_csr_mirrors_lists(&g);
-
-        let naive = g.with_naive_downcasts(&api);
-        assert_csr_mirrors_lists(&naive);
-        assert!(naive.csr().edge_count() > g.csr().edge_count());
-    }
-
-    #[test]
-    fn csr_round_trips_through_json() {
-        let api = api();
-        let g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let back = JungloidGraph::from_json(&g.to_json(), &api).unwrap();
-        assert_csr_mirrors_lists(&back);
-        assert_eq!(back.csr().edge_count(), g.csr().edge_count());
-    }
-
-    #[test]
-    fn epochs_are_distinct_per_state_and_advance_on_mutation() {
+    fn epochs_are_distinct_per_graph() {
         let api = api();
         let g1 = JungloidGraph::from_api(&api, GraphConfig::default());
         let g2 = JungloidGraph::from_api(&api, GraphConfig::default());
         assert_ne!(g1.epoch(), g2.epoch(), "independent builds get distinct epochs");
-
-        let mut g = g1;
-        let before = g.epoch();
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        let steps = vec![
-            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-            ElemJungloid::Downcast { from: b, to: b },
-        ];
-        // A rejected example mutates nothing, so the epoch must not move.
-        assert!(g.add_example(&api, &steps).is_err());
-        assert_eq!(g.epoch(), before);
-        let obj = api.types().object().unwrap();
-        let steps = vec![
-            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-            ElemJungloid::Widen { from: b, to: obj },
-            ElemJungloid::Downcast { from: obj, to: b },
-        ];
-        assert!(g.add_example(&api, &steps).unwrap());
-        assert_ne!(g.epoch(), before, "splicing an example advances the epoch");
-        let spliced = g.epoch();
-        // A duplicate splice is a no-op and must not advance it again.
-        assert!(!g.add_example(&api, &steps).unwrap());
-        assert_eq!(g.epoch(), spliced);
-
-        // Deserialization is a fresh state.
-        let back = JungloidGraph::from_json(&g.to_json(), &api).unwrap();
-        assert_ne!(back.epoch(), g.epoch());
+        let mined = with_examples(&api, &g1, &[cast_example(&api)]);
+        assert_ne!(mined.epoch(), g1.epoch(), "an extended graph is a new graph");
         // The naive-downcast copy is a different graph too.
-        assert_ne!(g.with_naive_downcasts(&api).epoch(), g.epoch());
+        assert_ne!(g1.with_naive_downcasts(&api).epoch(), g1.epoch());
     }
 
     #[test]
-    fn frozen_snapshot_graph_answers_like_the_original_and_thaws_on_mutation() {
+    fn snapshot_graph_answers_like_the_original_and_extends_the_same_way() {
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        let steps = vec![
-            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-            ElemJungloid::Widen { from: b, to: obj },
-            ElemJungloid::Downcast { from: obj, to: b },
-        ];
-        g.add_example(&api, &steps).unwrap();
+        let steps = cast_example(&api);
+        let signature = JungloidGraph::from_api(&api, GraphConfig::default());
+        let g = with_examples(&api, &signature, std::slice::from_ref(&steps));
 
         let mined_base: Vec<TyId> = (0..g.mined_node_count())
             .map(|i| g.base_ty(NodeId::Mined(u32::try_from(i).unwrap())))
             .collect();
-        let mut frozen = JungloidGraph::from_snapshot(
+        let restored = JungloidGraph::from_snapshot(
             &api,
             g.config(),
             mined_base,
@@ -1460,40 +1213,34 @@ mod tests {
             g.csr().clone(),
         )
         .unwrap();
-        assert!(!frozen.lists_ready, "snapshot loads stay frozen");
+        assert_ne!(restored.epoch(), g.epoch());
         for idx in 0..g.node_count() {
             let n = g.node_at(idx);
-            assert_eq!(frozen.out_edges(n), g.out_edges(n));
-            assert_eq!(frozen.in_edges(n), g.in_edges(n));
+            assert_eq!(restored.out_edges(n), g.out_edges(n));
+            assert_eq!(restored.in_edges(n), g.in_edges(n));
         }
-        // Dedup consults the stored sequences; no thaw needed.
-        assert!(!frozen.add_example(&api, &steps).unwrap());
-        assert!(!frozen.lists_ready);
-        // A genuinely new example thaws the lists and splices as usual.
-        let more = vec![ElemJungloid::Widen { from: b, to: a }];
-        assert!(frozen.add_example(&api, &more).unwrap());
-        assert!(frozen.lists_ready);
-        assert_eq!(frozen.edge_count(), g.edge_count() + 1);
-        assert_csr_mirrors_lists(&frozen);
+        // Dedup consults the stored sequences.
+        assert!(!GraphBuilder::from_graph(&restored).add_example(&api, &steps).unwrap());
+        // A genuinely new example extends both graphs identically.
+        let more = vec![ElemJungloid::Widen { from: ty(&api, "t.B"), to: ty(&api, "t.A") }];
+        let x = with_examples(&api, &restored, std::slice::from_ref(&more));
+        let y = with_examples(&api, &g, &[more]);
+        assert_eq!(x.edge_count(), g.edge_count() + 1);
+        for idx in 0..x.node_count() {
+            let n = x.node_at(idx);
+            assert_eq!(x.out_edges(n), y.out_edges(n));
+            assert_eq!(x.in_edges(n), y.in_edges(n));
+        }
     }
 
     #[test]
     fn node_index_round_trip() {
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let a = ty(&api, "t.A");
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        g.add_example(
+        let g = with_examples(
             &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Widen { from: b, to: obj },
-                ElemJungloid::Downcast { from: obj, to: b },
-            ],
-        )
-        .unwrap();
+            &JungloidGraph::from_api(&api, GraphConfig::default()),
+            &[cast_example(&api)],
+        );
         for idx in 0..g.node_count() {
             assert_eq!(g.index_of(g.node_at(idx)), idx);
         }

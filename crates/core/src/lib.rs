@@ -16,9 +16,10 @@
 //! * [`synth`] — rendering paths as insertable code with free variables
 //!   (§2.2);
 //! * [`engine`] — the query front end: explicit `(tin, tout)` queries and
-//!   context-inferred content-assist queries (§5);
-//! * [`persist`] — the serialized graph measured by the §5 performance
-//!   experiment.
+//!   context-inferred content-assist queries (§5).
+//!
+//! The on-disk graph measured by the §5 performance experiment is the
+//! `.pspk` snapshot of the `prospector-store` crate.
 //!
 //! # Quickstart
 //!
@@ -63,7 +64,6 @@ pub mod generalize;
 pub mod graph;
 pub mod heat;
 pub mod path;
-pub mod persist;
 pub mod rank;
 pub mod search;
 pub mod slab;
@@ -74,10 +74,10 @@ pub use cache::{CacheOutcome, FlightLease, Lookup, ShardedLru, SingleflightCache
 pub use compose::{compose, ComposeConfig, Composition};
 pub use engine::{BatchEntry, Prospector, QueryError, QueryResult, QueryStats, Suggestion};
 pub use graph::{
-    CsrAdjacency, Edge, ExampleError, GraphConfig, GraphStats, JungloidGraph, NodeId, SnapshotError,
+    CsrAdjacency, Edge, ExampleError, GraphBuilder, GraphConfig, GraphStats, JungloidGraph, NodeId,
+    SnapshotError,
 };
 pub use heat::{HeatEdge, HeatEntry, HeatSnapshot, WorkloadEntry, WorkloadSnapshot};
-pub use persist::PersistError;
 pub use path::Jungloid;
 pub use rank::{RankKey, RankOptions};
 pub use search::{

@@ -772,19 +772,22 @@ mod tests {
     fn mined_paths_are_searchable() {
         use jungloid_apidef::{ElemJungloid, InputSlot};
         let api = api();
-        let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
+        let signature = JungloidGraph::from_api(&api, GraphConfig::default());
         let b = ty(&api, "t.B");
         let d = ty(&api, "t.D");
         let sub = ty(&api, "t.Sub");
         let to_d = api.lookup_instance_method(b, "toD", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: to_d, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Downcast { from: d, to: sub },
-            ],
-        )
-        .unwrap();
+        let mut builder = crate::graph::GraphBuilder::from_graph(&signature);
+        builder
+            .add_example(
+                &api,
+                &[
+                    ElemJungloid::Call { method: to_d, input: Some(InputSlot::Receiver) },
+                    ElemJungloid::Downcast { from: d, to: sub },
+                ],
+            )
+            .unwrap();
+        let g = builder.freeze();
         let outcome = run(&g, &[b], sub);
         assert_eq!(outcome.shortest, Some(2));
         assert!(outcome.jungloids.iter().any(Jungloid::contains_downcast));

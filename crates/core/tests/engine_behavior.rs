@@ -142,6 +142,54 @@ fn result_cache_invalidated_by_graph_epoch_bump() {
     assert_eq!(rehit.suggestions[0].code, after.suggestions[0].code);
 }
 
+/// A splice batch is all-or-nothing. An ill-typed example anywhere in the
+/// batch must leave the graph, its epoch and the warm distance cache as
+/// they were — not keep the valid examples before it in a graph whose
+/// cached distance fields describe the old one.
+#[test]
+fn failed_splice_batch_leaves_graph_and_answers_unchanged() {
+    let api = api();
+    let a = api.types().resolve("t.A").unwrap();
+    let b = api.types().resolve("t.B").unwrap();
+    let d = api.types().resolve("t.D").unwrap();
+    let dsub = api.types().resolve("DSub").unwrap();
+    let to_d = api.lookup_instance_method(b, "toD", 0)[0];
+    let to_b = api.lookup_instance_method(a, "toB", 0)[0];
+    let mut engine = Prospector::new(api);
+    engine.cache_results = false;
+    let codes = |engine: &Prospector| -> Vec<String> {
+        engine.query(b, dsub).unwrap().suggestions.iter().map(|s| s.code.clone()).collect()
+    };
+
+    // Warm the distance cache on the (B, DSub) target.
+    let before = codes(&engine);
+    assert!(before.is_empty());
+    let epoch = engine.graph().epoch();
+    let (nodes, edges) = (engine.graph().node_count(), engine.graph().edge_count());
+
+    let receiver = Some(jungloid_apidef::InputSlot::Receiver);
+    let valid = vec![
+        ElemJungloid::Call { method: to_d, input: receiver },
+        ElemJungloid::Downcast { from: d, to: dsub },
+    ];
+    // `b.toD()` yields a D, but `A.toB()` wants an A receiver.
+    let ill_typed = vec![
+        ElemJungloid::Call { method: to_d, input: receiver },
+        ElemJungloid::Call { method: to_b, input: receiver },
+    ];
+    assert!(engine.add_examples(&[valid.clone(), ill_typed], false).is_err());
+
+    assert_eq!(engine.graph().epoch(), epoch, "a failed batch must not replace the graph");
+    assert_eq!(engine.graph().node_count(), nodes);
+    assert_eq!(engine.graph().edge_count(), edges);
+    assert!(engine.graph().examples().is_empty());
+    assert_eq!(codes(&engine), before);
+
+    // The valid example alone still splices and is visible to queries.
+    assert_eq!(engine.add_examples(&[valid], false), Ok(1));
+    assert_eq!(codes(&engine), ["(DSub) b.toD()"]);
+}
+
 #[test]
 fn ranking_knobs_change_order_not_set() {
     let api = api();

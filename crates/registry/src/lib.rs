@@ -58,7 +58,7 @@ pub enum EngineMode {
     Built,
     /// Decoded from a snapshot into owned storage.
     Owned,
-    /// Serving borrowed views out of an mmap'd v2 snapshot.
+    /// Serving borrowed views out of an mmap'd snapshot.
     Mapped,
 }
 
@@ -125,8 +125,7 @@ pub struct Provenance {
     /// Path of the snapshot the engine was loaded from; `None` for an
     /// in-process build.
     pub snapshot_path: Option<String>,
-    /// Snapshot format version (`None` for in-process builds and JSON
-    /// debug indexes).
+    /// Snapshot format version (`None` for in-process builds).
     pub format_version: Option<u32>,
     /// How the engine is held in memory.
     pub mode: EngineMode,
@@ -618,41 +617,25 @@ impl Registry {
     }
 }
 
-/// Loads an engine from a snapshot path: `.pspk` files (sniffed by
-/// magic) through the binary store — mmap'd when `mmap` and the
-/// platform/format allow — and anything else through the JSON debug
-/// loader. Returns the engine plus the provenance actually achieved.
+/// Loads an engine from a `.pspk` snapshot path — mmap'd when `mmap` and
+/// the platform allow. Returns the engine plus the provenance actually
+/// achieved. This is the one snapshot loader: the CLI's `--index`, tenant
+/// registration and hot reload all go through it.
 ///
 /// # Errors
 ///
 /// Any read, validation, or decode failure as a displayable message.
 pub fn load_engine(path: &str, mmap: bool) -> Result<(Prospector, Provenance), String> {
-    let p = Path::new(path);
     let started = Instant::now();
-    let mut head = [0u8; 4];
-    let binary = std::fs::File::open(p)
-        .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut head))
-        .map_err(|e| format!("{path}: {e}"))
-        .map(|()| prospector_store::is_snapshot(&head))?;
-    if binary {
-        let (snap, manifest, mode) =
-            prospector_store::load_auto(p, mmap).map_err(|e| e.to_string())?;
-        let provenance = Provenance {
-            snapshot_path: Some(path.to_owned()),
-            format_version: Some(manifest.version),
-            mode: mode.into(),
-            load_us: elapsed_us(started),
-        };
-        return Ok((Prospector::from_parts(snap.api, snap.graph), provenance));
-    }
-    let loaded = prospector_core::persist::load_file(p).map_err(|e| e.to_string())?;
+    let (snap, manifest, mode) =
+        prospector_store::load_auto(Path::new(path), mmap).map_err(|e| e.to_string())?;
     let provenance = Provenance {
         snapshot_path: Some(path.to_owned()),
-        format_version: None,
-        mode: EngineMode::Owned,
+        format_version: Some(manifest.version),
+        mode: mode.into(),
         load_us: elapsed_us(started),
     };
-    Ok((Prospector::from_parts(loaded.api, loaded.graph), provenance))
+    Ok((Prospector::from_parts(snap.api, snap.graph), provenance))
 }
 
 /// Scans `dir` for `*.pspk` files and registers one tenant per file,

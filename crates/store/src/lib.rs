@@ -1,9 +1,7 @@
-//! `prospector-store`: the `.pspk` versioned binary snapshot format.
+//! `prospector-store`: the `.pspk` versioned binary snapshot format — the
+//! one on-disk form of a mined engine (§5's stored graph).
 //!
-//! The JSON path in `prospector_core::persist` is the *debug* format —
-//! human-readable, but it re-parses every node and rebuilds the CSR
-//! adjacency on load. This crate is the *production* path: a
-//! little-endian binary layout whose hot sections (forward+reverse CSR
+//! A little-endian binary layout whose hot sections (forward+reverse CSR
 //! arrays, string pool, packed jungloid quads) are 8-byte-aligned slabs
 //! the loader *borrows directly* from one aligned read — or an mmap'd
 //! region via [`map_file`] — so a server warm-starts by validating
@@ -13,14 +11,13 @@
 //! Format guarantees:
 //!
 //! - **Versioned.** Files open with the `PSPK` magic and a format
-//!   version; a build reads its own version ([`FORMAT_VERSION`]) and
-//!   every older one (v1 via the original full-decode path, still
-//!   writable with [`to_bytes_v1`]), and anything newer is a typed
+//!   version; a build reads and writes exactly [`FORMAT_VERSION`], and
+//!   any other version (the retired v1 layout included) is a typed
 //!   [`StoreError::UnsupportedVersion`] — never a misparse.
 //! - **Checksummed.** Each of the seven sections carries a CRC32 over
 //!   its tag and payload; a single flipped bit anywhere surfaces as
 //!   [`StoreError::ChecksumMismatch`] naming the section (a flipped
-//!   byte in v2 alignment padding, which sits outside the CRC, is a
+//!   byte in alignment padding, which sits outside the CRC, is a
 //!   [`StoreError::Corrupt`] naming the section instead).
 //! - **Panic-free loading.** Every count is bounds-proved before
 //!   allocation and every cross-reference (string, type, method, field,
@@ -30,8 +27,8 @@
 //!   [`StoreError`].
 //! - **Byte-identical warm start.** The loader rebuilds nothing: the
 //!   CSR arrays, mined nodes, and generalized suffixes round-trip
-//!   verbatim, so a reloaded engine — owned or borrowed — answers
-//!   queries identically to the one that was saved.
+//!   verbatim, so a reloaded engine answers queries identically to the
+//!   one that was saved.
 
 mod crc32;
 mod error;
@@ -41,9 +38,8 @@ mod snapshot;
 pub use crc32::{crc32, Crc32};
 pub use error::StoreError;
 pub use snapshot::{
-    from_buf, from_bytes, is_snapshot, load_auto, load_file, manifest, map_file, pad_for,
-    save_file, to_bytes, to_bytes_v1, LoadMode, Manifest, MappedSnapshot, SectionInfo, Snapshot,
-    FORMAT_VERSION, MAGIC, V1_FORMAT_VERSION,
+    from_buf, from_bytes, load_auto, load_file, manifest, map_file, pad_for, save_file, to_bytes,
+    LoadMode, Manifest, MappedSnapshot, SectionInfo, Snapshot, FORMAT_VERSION, MAGIC,
 };
 
 #[cfg(test)]
@@ -117,11 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn magic_sniff_and_bad_magic() {
+    fn bad_magic_is_typed() {
         let (api, graph) = tiny_engine();
         let mut bytes = to_bytes(&api, &graph, &[]);
-        assert!(is_snapshot(&bytes));
-        assert!(!is_snapshot(b"{\"api\""));
         bytes[0] = b'J';
         assert!(matches!(from_bytes(&bytes), Err(StoreError::BadMagic { .. })));
     }

@@ -155,16 +155,6 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Reads `count` consecutive little-endian `u32`s.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Truncated`] if the payload ends first.
-    pub fn u32_array(&mut self, count: usize) -> Result<Vec<u32>, StoreError> {
-        let raw = self.bytes(count.checked_mul(4).ok_or_else(|| self.short())?)?;
-        Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
-    }
-
     /// Asserts the payload is fully consumed (a section with trailing
     /// bytes was written by something else).
     ///

@@ -1,77 +1,41 @@
-//! Backward compatibility: a committed format-v1 `.pspk` fixture must
-//! keep loading (and answering queries) forever, even though new
-//! snapshots are written as v2. This pins the v1 decode path against
-//! accidental drift in the shared section decoders.
+//! Version gating: a committed `.pspk` in the retired format v1 must be
+//! refused with a typed [`StoreError::UnsupportedVersion`] by every
+//! loading path — the byte decoder, the file loaders (owned and mmap) and
+//! the registry's engine loader — never misparsed and never a panic.
 
-use jungloid_apidef::{Api, ApiLoader};
-use prospector_core::graph::JungloidGraph;
-use prospector_core::{GraphConfig, Prospector};
+use std::path::Path;
+
+use prospector_store::{StoreError, FORMAT_VERSION};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v1.pspk");
 
-/// The same tiny `java.io` engine the crate's unit tests use — small
-/// enough to commit its v1 encoding as a binary fixture.
-fn tiny_engine() -> (Api, JungloidGraph) {
-    let mut api = ApiLoader::with_prelude().finish().expect("prelude");
-    api.class("java.io", "Reader").expect("declare");
-    api.class("java.io", "InputStream").expect("declare");
-    api.class("java.io", "InputStreamReader")
-        .expect("declare")
-        .extends("Reader")
-        .expect("extends")
-        .ctor(&["InputStream"])
-        .expect("ctor");
-    api.class("java.io", "BufferedReader")
-        .expect("declare")
-        .extends("Reader")
-        .expect("extends")
-        .ctor(&["Reader"])
-        .expect("ctor")
-        .method("readLine", &[], "String")
-        .expect("method");
-    let graph = JungloidGraph::from_api(&api, GraphConfig::default());
-    (api, graph)
-}
-
-/// Run with `cargo test -p prospector-store --test compat -- --ignored`
-/// to rebuild the committed fixture after an *intentional* v1 encoder
-/// change (there should never be one).
-#[test]
-#[ignore = "regenerates the committed v1 fixture"]
-fn regenerate_v1_fixture() {
-    let (api, graph) = tiny_engine();
-    let bytes = prospector_store::to_bytes_v1(&api, &graph, &[]);
-    std::fs::write(FIXTURE, bytes).expect("fixture writes");
+fn assert_v1_refused(result: Result<impl std::fmt::Debug, StoreError>, path: &str) {
+    match result {
+        Err(StoreError::UnsupportedVersion { found, supported }) => {
+            assert_eq!((found, supported), (1, FORMAT_VERSION), "{path}");
+        }
+        other => panic!("{path}: expected UnsupportedVersion, got {other:?}"),
+    }
 }
 
 #[test]
-fn committed_v1_fixture_still_loads_and_answers() {
+fn committed_v1_fixture_is_refused_as_unsupported_version() {
     let bytes = std::fs::read(FIXTURE).expect("committed fixture exists");
-    let m = prospector_store::manifest(&bytes).expect("fixture validates");
-    assert_eq!(m.version, prospector_store::V1_FORMAT_VERSION);
-    assert_eq!(m.sections.len(), 7);
-    assert!(m.sections.iter().all(|s| s.pad_bytes == 0), "v1 has no padding");
+    assert_eq!(&bytes[..4], b"PSPK");
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")), 1);
 
-    let snap = prospector_store::from_bytes(&bytes).expect("fixture loads");
-    assert!(!snap.graph.csr().is_borrowed(), "v1 decodes into owned arrays");
+    assert_v1_refused(prospector_store::manifest(&bytes), "manifest");
+    assert_v1_refused(prospector_store::from_bytes(&bytes), "from_bytes");
+    assert_v1_refused(prospector_store::load_file(Path::new(FIXTURE)), "load_file");
+    for mmap in [false, true] {
+        assert_v1_refused(
+            prospector_store::load_auto(Path::new(FIXTURE), mmap),
+            &format!("load_auto(mmap={mmap})"),
+        );
+    }
 
-    // The fixture matches today's tiny engine and today's v1 encoder —
-    // both the semantic content and the exact bytes are pinned.
-    let (api, graph) = tiny_engine();
-    assert_eq!(snap.api.types().len(), api.types().len());
-    assert_eq!(snap.graph.edge_count(), graph.edge_count());
-    assert_eq!(
-        prospector_store::to_bytes_v1(&snap.api, &snap.graph, &snap.mined_examples),
-        bytes,
-        "re-encoding the loaded v1 fixture must be byte-identical"
-    );
-
-    let warm = Prospector::from_parts(snap.api, snap.graph);
-    let tin = warm.api().types().resolve("InputStream").expect("type resolves");
-    let tout = warm.api().types().resolve("BufferedReader").expect("type resolves");
-    let result = warm.query(tin, tout).expect("query");
-    assert_eq!(
-        result.suggestions[0].code,
-        "new BufferedReader(new InputStreamReader(inputStream))"
-    );
+    // The registry reports the same typed failure as its message.
+    let err = prospector_registry::load_engine(FIXTURE, false).expect_err("v1 must not load");
+    let expected = StoreError::UnsupportedVersion { found: 1, supported: FORMAT_VERSION };
+    assert_eq!(err, expected.to_string());
 }

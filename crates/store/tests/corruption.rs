@@ -1,57 +1,40 @@
 //! Corruption fuzzing: a `.pspk` snapshot must survive any mutilation
 //! with a typed [`StoreError`] — never a panic, never a silent mis-load,
-//! never an out-of-bounds read (the v2 loader hands out *borrowed* views
+//! never an out-of-bounds read (the loader hands out *borrowed* views
 //! into the file bytes, so framing validation is the only thing between
 //! a flipped bit and the query hot path).
 //!
 //! The mutations exercised here are the classes the format is built to
 //! catch: truncation at (and around) every section boundary, a single
-//! flipped byte in every header and payload, a flipped byte inside v2
+//! flipped byte in every header and payload, a flipped byte inside
 //! alignment padding (which sits *outside* the CRC), and a stored CRC
 //! that was wrongly computed over the padding.
 
 use prospector_corpora::{build, BuildOptions};
-use prospector_store::{from_bytes, manifest, Crc32, Manifest, StoreError, V1_FORMAT_VERSION};
+use prospector_store::{from_bytes, manifest, Crc32, StoreError};
+
+/// File header and per-section frame sizes.
+const HEADER_BYTES: usize = 16;
+const FRAME_BYTES: usize = 24;
 
 /// Snapshot bytes for the full bundled engine — mined and generalized,
 /// so all seven sections carry real payloads.
-fn snapshot_bytes() -> (Vec<u8>, Vec<u8>) {
+fn snapshot_bytes() -> Vec<u8> {
     let built = build(&BuildOptions::default()).expect("bundled corpora assemble");
     let mined = built.mine_report.map(|r| r.examples).unwrap_or_default();
-    let api = built.prospector.api();
-    let graph = built.prospector.graph();
-    (
-        prospector_store::to_bytes(api, graph, &mined),
-        prospector_store::to_bytes_v1(api, graph, &mined),
-    )
-}
-
-fn header_bytes(m: &Manifest) -> usize {
-    if m.version == V1_FORMAT_VERSION {
-        12
-    } else {
-        16
-    }
-}
-
-fn frame_bytes(m: &Manifest) -> usize {
-    if m.version == V1_FORMAT_VERSION {
-        16
-    } else {
-        24
-    }
+    prospector_store::to_bytes(built.prospector.api(), built.prospector.graph(), &mined)
 }
 
 /// Every interesting offset, derived from the validated manifest: the
 /// file-header bytes, each section's frame start, payload start, payload
-/// midpoint, payload end, and (v2) the end of its padding.
+/// midpoint, payload end, and the end of its padding.
 fn boundaries(bytes: &[u8]) -> Vec<usize> {
     let m = manifest(bytes).expect("pristine snapshot validates");
-    let mut offsets: Vec<usize> = (0..=header_bytes(&m)).collect();
+    let mut offsets: Vec<usize> = (0..=HEADER_BYTES).collect();
     for s in &m.sections {
         let payload_start = usize::try_from(s.offset).expect("fits");
         let payload_len = usize::try_from(s.bytes).expect("fits");
-        let frame_start = payload_start - frame_bytes(&m);
+        let frame_start = payload_start - FRAME_BYTES;
         offsets.extend([
             frame_start,
             frame_start + 4,
@@ -93,9 +76,7 @@ fn assert_truncations_are_typed(bytes: &[u8]) {
 
 #[test]
 fn truncation_at_every_boundary_is_a_typed_error() {
-    let (v2, v1) = snapshot_bytes();
-    assert_truncations_are_typed(&v2);
-    assert_truncations_are_typed(&v1);
+    assert_truncations_are_typed(&snapshot_bytes());
 }
 
 fn assert_flips_are_detected(bytes: &[u8]) {
@@ -105,7 +86,7 @@ fn assert_flips_are_detected(bytes: &[u8]) {
         let payload_len = usize::try_from(s.bytes).expect("fits");
         // One flip in the section frame (its tag byte) and one in the
         // middle of its payload.
-        let targets = [payload_start - frame_bytes(&m), payload_start + payload_len / 2];
+        let targets = [payload_start - FRAME_BYTES, payload_start + payload_len / 2];
         for &at in &targets {
             let mut mutated = bytes.to_vec();
             mutated[at] ^= 0x40;
@@ -126,14 +107,12 @@ fn assert_flips_are_detected(bytes: &[u8]) {
 
 #[test]
 fn one_flipped_byte_per_section_is_detected() {
-    let (v2, v1) = snapshot_bytes();
-    assert_flips_are_detected(&v2);
-    assert_flips_are_detected(&v1);
+    assert_flips_are_detected(&snapshot_bytes());
 }
 
 #[test]
 fn flips_in_the_file_header_are_detected() {
-    let (bytes, _) = snapshot_bytes();
+    let bytes = snapshot_bytes();
     for at in 0..16 {
         let mut mutated = bytes.clone();
         mutated[at] ^= 0x01;
@@ -169,17 +148,15 @@ fn assert_payload_flips_blame_their_section(bytes: &[u8]) {
 
 #[test]
 fn payload_flips_are_checksum_mismatches_naming_the_section() {
-    let (v2, v1) = snapshot_bytes();
-    assert_payload_flips_blame_their_section(&v2);
-    assert_payload_flips_blame_their_section(&v1);
+    assert_payload_flips_blame_their_section(&snapshot_bytes());
 }
 
 #[test]
 fn flipped_padding_byte_is_corrupt_naming_the_section() {
-    // v2 alignment padding sits outside the CRC, so the loader checks it
+    // Alignment padding sits outside the CRC, so the loader checks it
     // is all-zero explicitly — a flipped pad byte must be a Corrupt
     // blaming the right section, not a silent load into borrowed views.
-    let (bytes, _) = snapshot_bytes();
+    let bytes = snapshot_bytes();
     let m = manifest(&bytes).expect("pristine snapshot validates");
     let mut padded = 0;
     for s in &m.sections {
@@ -211,7 +188,7 @@ fn crc_computed_over_padding_is_a_checksum_mismatch() {
     // Simulates a buggy writer that folded the zero padding into the
     // CRC. The stored checksum then disagrees with the spec's
     // tag+payload recipe and the loader must reject the section by name.
-    let (bytes, _) = snapshot_bytes();
+    let bytes = snapshot_bytes();
     let m = manifest(&bytes).expect("pristine snapshot validates");
     let mut padded = 0;
     for s in &m.sections {
@@ -221,7 +198,7 @@ fn crc_computed_over_padding_is_a_checksum_mismatch() {
         padded += 1;
         let payload_start = usize::try_from(s.offset).expect("fits");
         let payload_len = usize::try_from(s.bytes).expect("fits");
-        let frame_start = payload_start - 24;
+        let frame_start = payload_start - FRAME_BYTES;
         let mut crc = Crc32::new();
         crc.update(&bytes[frame_start..frame_start + 4]); // tag
         crc.update(&bytes[payload_start..payload_start + payload_len + s.pad_bytes as usize]);

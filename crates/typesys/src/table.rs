@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use prospector_obs::json::{decode_err, Json, JsonError};
 
 use crate::{Prim, Ty, TyId, TypeError, TypeKind};
 
@@ -668,18 +667,16 @@ impl Default for TypeTable {
 
 // --- Persistence --------------------------------------------------------
 //
-// Both wire formats (JSON here, binary in `prospector-store`) carry only
-// the arena (packages + typed slots); every derived index
-// (qualified/simple lookup, array interning, the Object root) is rebuilt
-// on load, which keeps the format small and makes a loaded table
-// structurally identical to a freshly built one. [`RawSlot`] is the
-// neutral exchange shape both formats decode into; [`TypeTable::from_raw`]
-// owns all structural validation.
+// The binary snapshot format in `prospector-store` carries only the arena
+// (packages + typed slots); every derived index (qualified/simple lookup,
+// array interning, the Object root) is rebuilt on load, which keeps the
+// format small and makes a loaded table structurally identical to a
+// freshly built one. [`RawSlot`] is the neutral exchange shape it decodes
+// into; [`TypeTable::from_raw`] owns all structural validation.
 
-/// The raw contents of one type-arena slot, as exchanged with persistence
-/// layers ([`TypeTable::to_json`] and the binary snapshot format in
-/// `prospector-store`). Obtained from [`TypeTable::raw_slots`]; reversed by
-/// [`TypeTable::from_raw`].
+/// The raw contents of one type-arena slot, as exchanged with the binary
+/// snapshot format in `prospector-store`. Obtained from
+/// [`TypeTable::raw_slots`]; reversed by [`TypeTable::from_raw`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RawSlot {
     /// The `void` pseudo-type (always slot 0).
@@ -709,9 +706,8 @@ pub enum RawSlot {
 }
 
 /// A borrowed view of one type-arena slot: the allocation-free sibling of
-/// [`RawSlot`]. Save paths (the binary snapshot encoder, the JSON debug
-/// dump) iterate these instead of cloning every name `String` out of the
-/// interned arena.
+/// [`RawSlot`]. The snapshot encoder iterates these instead of cloning
+/// every name `String` out of the interned arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RawSlotView<'a> {
     /// The `void` pseudo-type (always slot 0).
@@ -922,176 +918,6 @@ impl TypeTable {
     }
 }
 
-fn ty_ref(id: TyId) -> Json {
-    Json::num_u(u64::from(id.0))
-}
-
-fn want_ty(v: &Json, arena_len: usize) -> Result<TyId, JsonError> {
-    let raw = v.as_u64().ok_or_else(|| decode_err("type id must be a non-negative integer"))?;
-    let raw = u32::try_from(raw).map_err(|_| decode_err("type id out of range"))?;
-    if (raw as usize) >= arena_len {
-        return Err(decode_err(format!("type id {raw} out of bounds ({arena_len} slots)")));
-    }
-    Ok(TyId(raw))
-}
-
-impl TypeTable {
-    /// Serializes the table to a JSON value. The interned name arena is
-    /// emitted once as `names` and decl slots reference it by symbol
-    /// index, so a simple name shared by many types costs one string in
-    /// the document (and one allocation on save) rather than one per
-    /// slot.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        // Canonical first-use order (not raw arena order) keeps the
-        // document stable across a decode/re-encode round trip, where
-        // the rebuilt arena interns names in a different sequence.
-        let mut remap: HashMap<u32, u64> = HashMap::new();
-        let mut names: Vec<Json> = Vec::new();
-        for slot in &self.types {
-            if let TyData::Decl(d) = slot {
-                if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(d.simple.0) {
-                    e.insert(names.len() as u64);
-                    names.push(Json::Str(self.names.get(d.simple).to_owned()));
-                }
-            }
-        }
-        let types = self
-            .types
-            .iter()
-            .map(|slot| match slot {
-                TyData::Void => Json::obj(vec![("k", Json::Str("void".into()))]),
-                TyData::Null => Json::obj(vec![("k", Json::Str("null".into()))]),
-                TyData::Prim(p) => Json::obj(vec![
-                    ("k", Json::Str("prim".into())),
-                    ("p", Json::Str(p.keyword().into())),
-                ]),
-                TyData::Decl(d) => Json::obj(vec![
-                    ("k", Json::Str("decl".into())),
-                    ("simple", Json::num_u(remap[&d.simple.0])),
-                    ("pkg", Json::num_u(u64::from(d.package.0))),
-                    (
-                        "kind",
-                        Json::Str(
-                            match d.kind {
-                                TypeKind::Class => "class",
-                                TypeKind::Interface => "interface",
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("super", d.superclass.map_or(Json::Null, ty_ref)),
-                    ("ifaces", Json::Arr(d.interfaces.iter().map(|&i| ty_ref(i)).collect())),
-                ]),
-                TyData::Array { elem } => Json::obj(vec![
-                    ("k", Json::Str("array".into())),
-                    ("elem", ty_ref(*elem)),
-                ]),
-            })
-            .collect();
-        Json::obj(vec![
-            (
-                "packages",
-                Json::Arr(self.package_names().map(|p| Json::Str(p.to_owned())).collect()),
-            ),
-            ("names", Json::Arr(names)),
-            ("types", Json::Arr(types)),
-        ])
-    }
-
-    /// Rebuilds a table from [`TypeTable::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing keys, malformed slots, out-of-range references,
-    /// or an arena whose built-in prefix (void, null, the eight
-    /// primitives) does not match a fresh table's.
-    pub fn from_json(v: &Json) -> Result<TypeTable, JsonError> {
-        let packages: Vec<String> = v
-            .want("packages")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`packages` must be an array"))?
-            .iter()
-            .map(|p| {
-                p.as_str().map(str::to_owned).ok_or_else(|| decode_err("package must be a string"))
-            })
-            .collect::<Result<_, _>>()?;
-        let names: Vec<&str> = v
-            .want("names")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`names` must be an array"))?
-            .iter()
-            .map(|n| n.as_str().ok_or_else(|| decode_err("name must be a string")))
-            .collect::<Result<_, _>>()?;
-        let slots = v
-            .want("types")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`types` must be an array"))?;
-        let arena_len = slots.len();
-        let mut raw = Vec::with_capacity(arena_len);
-        for slot in slots {
-            let kind = slot.want("k")?.as_str().ok_or_else(|| decode_err("`k` must be a string"))?;
-            raw.push(match kind {
-                "void" => RawSlot::Void,
-                "null" => RawSlot::Null,
-                "prim" => {
-                    let word = slot
-                        .want("p")?
-                        .as_str()
-                        .ok_or_else(|| decode_err("`p` must be a string"))?;
-                    RawSlot::Prim(
-                        Prim::from_keyword(word)
-                            .ok_or_else(|| decode_err(format!("unknown primitive `{word}`")))?,
-                    )
-                }
-                "decl" => {
-                    let pkg = slot
-                        .want("pkg")?
-                        .as_u64()
-                        .and_then(|p| u32::try_from(p).ok())
-                        .ok_or_else(|| decode_err("bad package reference"))?;
-                    let superclass = match slot.want("super")? {
-                        Json::Null => None,
-                        other => Some(want_ty(other, arena_len)?),
-                    };
-                    let interfaces = slot
-                        .want("ifaces")?
-                        .as_arr()
-                        .ok_or_else(|| decode_err("`ifaces` must be an array"))?
-                        .iter()
-                        .map(|i| want_ty(i, arena_len))
-                        .collect::<Result<_, _>>()?;
-                    let simple_ref = slot
-                        .want("simple")?
-                        .as_u64()
-                        .and_then(|i| usize::try_from(i).ok())
-                        .ok_or_else(|| decode_err("`simple` must be a name index"))?;
-                    RawSlot::Decl {
-                        simple: names
-                            .get(simple_ref)
-                            .copied()
-                            .ok_or_else(|| {
-                                decode_err(format!("name index {simple_ref} out of range"))
-                            })?
-                            .to_owned(),
-                        package: PackageId(pkg),
-                        kind: match slot.want("kind")?.as_str() {
-                            Some("class") => TypeKind::Class,
-                            Some("interface") => TypeKind::Interface,
-                            _ => return Err(decode_err("`kind` must be class|interface")),
-                        },
-                        superclass,
-                        interfaces,
-                    }
-                }
-                "array" => RawSlot::Array { elem: want_ty(slot.want("elem")?, arena_len)? },
-                other => return Err(decode_err(format!("unknown type slot kind `{other}`"))),
-            });
-        }
-        TypeTable::from_raw(packages, raw).map_err(|e| decode_err(e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1294,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
+    fn raw_round_trip_preserves_everything() {
         let (mut t, obj) = base();
         let readable = t.declare("java.lang", "Readable", TypeKind::Interface).unwrap();
         let reader = t.declare("java.io", "Reader", TypeKind::Class).unwrap();
@@ -1304,8 +1130,8 @@ mod tests {
         let arr = t.array_of(buffered);
         let unpackaged = t.declare("", "Top", TypeKind::Class).unwrap();
 
-        let doc = t.to_json();
-        let back = TypeTable::from_json(&doc).unwrap();
+        let packages: Vec<String> = t.package_names().map(str::to_owned).collect();
+        let back = TypeTable::from_raw(packages.clone(), t.raw_slots()).unwrap();
         assert_eq!(back.len(), t.len());
         assert_eq!(back.object(), Some(obj));
         assert_eq!(back.resolve("java.io.BufferedReader").unwrap(), buffered);
@@ -1316,28 +1142,19 @@ mod tests {
         assert_eq!(back2.array_of(buffered), arr, "array interning survives");
         assert_eq!(back.display(arr), "java.io.BufferedReader[]");
         assert_eq!(back.prim(Prim::Double), t.prim(Prim::Double));
-        // Reserialization is stable.
-        assert_eq!(back.to_json(), doc);
-    }
+        // Re-extraction is stable.
+        assert_eq!(back.raw_slots(), t.raw_slots());
 
-    #[test]
-    fn json_rejects_corrupt_tables() {
-        let (t, _) = base();
-        let doc = t.to_json();
-        // Truncate the built-in prefix.
-        let Json::Obj(mut pairs) = doc.clone() else { unreachable!() };
-        for (k, v) in &mut pairs {
-            if k == "types" {
-                let Json::Arr(items) = v else { unreachable!() };
-                items.truncate(3);
-            }
+        // Corrupt arenas are rejected: a truncated built-in prefix and a
+        // dangling superclass reference.
+        let mut slots = t.raw_slots();
+        slots.truncate(3);
+        assert!(TypeTable::from_raw(packages.clone(), slots).is_err());
+        let mut slots = t.raw_slots();
+        if let RawSlot::Decl { superclass, .. } = &mut slots[buffered.index()] {
+            *superclass = Some(TyId(9999));
         }
-        assert!(TypeTable::from_json(&Json::Obj(pairs)).is_err());
-        // Missing keys entirely.
-        assert!(TypeTable::from_json(&Json::obj(vec![])).is_err());
-        // Dangling type reference.
-        let text = doc.to_text().replace("\"super\":null", "\"super\":9999");
-        assert!(TypeTable::from_json(&Json::parse(&text).unwrap()).is_err());
+        assert!(TypeTable::from_raw(packages, slots).is_err());
     }
 
     #[test]

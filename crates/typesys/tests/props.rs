@@ -164,27 +164,3 @@ fn subtype_implies_reachable_via_direct_links() {
         }
     });
 }
-
-#[test]
-fn json_round_trip_over_random_hierarchies() {
-    sweep(10, |table| {
-        let doc = table.to_json();
-        let back = TypeTable::from_json(&doc).unwrap();
-        assert_eq!(back.len(), table.len());
-        for d in table.decls() {
-            let other = back.decl(d.id).unwrap();
-            assert_eq!(other.qualified_name(), d.qualified_name());
-            assert_eq!(other.kind, d.kind);
-        }
-        let ids = decl_ids(table);
-        for &a in &ids {
-            for &b in &ids {
-                assert_eq!(table.is_subtype(a, b), back.is_subtype(a, b));
-            }
-        }
-        assert_eq!(back.to_json(), doc);
-        // The serialized text survives a parse round trip too.
-        let text = doc.to_text();
-        assert_eq!(prospector_obs::Json::parse(&text).unwrap(), doc);
-    });
-}

@@ -3,7 +3,7 @@
 //! answering, and persistence.
 
 use prospector_core::generalize::generalize;
-use prospector_core::{persist, Prospector};
+use prospector_core::{GraphBuilder, JungloidGraph, Prospector};
 use prospector_corpora::{build, build_default, corpus_units, eclipse_api, BuildOptions};
 
 #[test]
@@ -110,18 +110,20 @@ fn corpus_examples_all_well_typed_and_spliceable() {
     let miner = jungloid_dataflow::Miner::new(&api, &lowered);
     let report = miner.mine();
     assert!(report.examples.len() >= 10, "only {} examples mined", report.examples.len());
-    let mut graph = prospector_core::JungloidGraph::from_api(&api, Default::default());
+    let graph = JungloidGraph::from_api(&api, Default::default());
+    let mut builder = GraphBuilder::from_graph(&graph);
     for e in &report.examples {
-        graph.add_example(&api, e).unwrap_or_else(|err| panic!("{err}"));
+        builder.add_example(&api, e).unwrap_or_else(|err| panic!("{err}"));
         assert!(e.last().unwrap().is_downcast());
     }
+    assert!(builder.freeze().edge_count() > graph.edge_count());
 }
 
 #[test]
 fn persisted_engine_answers_identically() {
     let prospector = build_default();
-    let json = persist::to_json(prospector.api(), prospector.graph());
-    let loaded = persist::from_json(&json).unwrap();
+    let bytes = prospector_store::to_bytes(prospector.api(), prospector.graph(), &[]);
+    let loaded = prospector_store::from_bytes(&bytes).unwrap();
     let thawed = Prospector::from_parts(loaded.api, loaded.graph);
 
     for problem in prospector_corpora::problems::table1() {
